@@ -720,7 +720,8 @@ impl CompiledSchedule {
     /// # Errors
     ///
     /// `n_blocks` must be at least 1 and `model` must span this
-    /// schedule's chip count; both are configuration errors.
+    /// schedule's chip count; both are configuration errors. A depth
+    /// whose counters leave `u64` is [`mtp_sim::SimError::Overflow`].
     pub fn simulate_symbolic(
         &self,
         chip: &ChipSpec,
@@ -737,7 +738,7 @@ impl CompiledSchedule {
                 self.n_chips
             )));
         }
-        let stats = model.eval(n_blocks);
+        let stats = model.try_eval(n_blocks)?;
         Ok(crate::report::from_stats(
             chip,
             self.n_chips,

@@ -22,7 +22,7 @@ use mtp_kernels::{CalibratedCostModel, ClusterCostModel, Kernel};
 use mtp_model::reference::{AttnMask, AttnScratch};
 use mtp_model::{reference, InferenceMode, TransformerConfig};
 use mtp_sim::{ChipSpec, LinkRegime, Machine, QueueDiscipline};
-use mtp_tensor::{quantize_symmetric, Backend, ScalarBackend, Tensor};
+use mtp_tensor::{quantize_symmetric, Backend, BackendKind, ScalarBackend, Tensor};
 use std::time::Instant;
 
 /// Benchmark schema identifier emitted into the JSON document.
@@ -130,6 +130,57 @@ pub fn run(quick: bool) -> BenchReport {
         "kernel/matmul_i8_64x512x512",
         best_of(k_reps, || {
             std::hint::black_box(xq.matmul_i32(&wq).expect("i8 matmul"));
+        }),
+        k_reps,
+    );
+
+    // --- Decode shapes (one output row): the tied 32000-word LM head
+    // and the per-chip FFN projection of 8-chip TinyLlama, each next to
+    // its scalar-backend twin — the in-run denominator the guard checks
+    // (`BenchReport::check_decode_twins`).
+    let hidden = reference::synthetic_input(1, 512, 6);
+    let table = reference::synthetic_input(32_000, 512, 7);
+    let mut logits = Tensor::default();
+    push(
+        "kernel/gemv_t_1x512x32000",
+        best_of(k_reps, || {
+            hidden.matmul_t_into(&table, &mut logits).expect("gemv_t");
+            std::hint::black_box(&logits);
+        }),
+        k_reps,
+    );
+    let mut scalar_logits = vec![0.0f32; 32_000];
+    push(
+        "kernel/gemv_t_scalar_1x512x32000",
+        best_of(k_reps, || {
+            scalar.matmul_t_f32(
+                hidden.as_slice(),
+                table.as_slice(),
+                &mut scalar_logits,
+                1,
+                512,
+                32_000,
+            );
+            std::hint::black_box(&scalar_logits);
+        }),
+        k_reps,
+    );
+    let w1 = reference::synthetic_input(512, 256, 8);
+    let mut ffn_h = Tensor::default();
+    push(
+        "kernel/gemv_1x512x256",
+        best_of(k_reps, || {
+            hidden.matmul_into(&w1, &mut ffn_h).expect("gemv");
+            std::hint::black_box(&ffn_h);
+        }),
+        k_reps,
+    );
+    let mut scalar_ffn = vec![0.0f32; 256];
+    push(
+        "kernel/gemv_scalar_1x512x256",
+        best_of(k_reps, || {
+            scalar.matmul_f32(hidden.as_slice(), w1.as_slice(), &mut scalar_ffn, 1, 512, 256);
+            std::hint::black_box(&scalar_ffn);
         }),
         k_reps,
     );
@@ -506,7 +557,54 @@ impl Comparison {
     }
 }
 
+/// Decode-shape entries, each paired with its scalar-backend twin.
+pub const DECODE_TWINS: [(&str, &str); 2] = [
+    ("kernel/gemv_t_1x512x32000", "kernel/gemv_t_scalar_1x512x32000"),
+    ("kernel/gemv_1x512x256", "kernel/gemv_scalar_1x512x256"),
+];
+
 impl BenchReport {
+    /// The in-run decode guard: on the SIMD backend every
+    /// [`DECODE_TWINS`] entry must beat its scalar-backend twin. Both run
+    /// in the same process on the same host, so host speed cancels out
+    /// of the ratio and no baseline is involved. On the scalar backend
+    /// an entry runs its twin's own kernel, so the check is skipped.
+    ///
+    /// # Errors
+    ///
+    /// Returns the verdict table with the offending entries named when a
+    /// decode entry is not faster than its twin, or when a pair is
+    /// missing from the report.
+    pub fn check_decode_twins(&self, backend: BackendKind) -> Result<String, String> {
+        if backend == BackendKind::Scalar {
+            return Ok("decode twins: skipped on the scalar backend\n".to_owned());
+        }
+        let ns = |name: &str| self.results.iter().find(|r| r.name == name).map(|r| r.min_ns);
+        let mut out = String::from("decode entries vs scalar twin (twin/entry; >1 is faster):\n");
+        let mut slower = Vec::new();
+        for (entry, twin) in DECODE_TWINS {
+            let (Some(e), Some(t)) = (ns(entry), ns(twin)) else {
+                return Err(format!("decode entry `{entry}` or its twin `{twin}` was not run"));
+            };
+            let verdict = if e < t { "ok" } else { "REGRESSION" };
+            out.push_str(&format!(
+                "  {entry:<34} {e:>12} vs {t:>12} ns   {:>6.2}x   {verdict}\n",
+                t as f64 / e.max(1) as f64
+            ));
+            if e >= t {
+                slower.push(entry);
+            }
+        }
+        if slower.is_empty() {
+            Ok(out)
+        } else {
+            Err(format!(
+                "{out}decode entries not faster than their scalar twin: {}",
+                slower.join(", ")
+            ))
+        }
+    }
+
     /// Renders an aligned text summary (what `mtp bench` prints).
     #[must_use]
     pub fn render(&self) -> String {
@@ -587,7 +685,7 @@ mod tests {
     fn quick_profile_runs_every_bench() {
         let report = run(true);
         assert_eq!(report.profile, "quick");
-        assert_eq!(report.results.len(), 20);
+        assert_eq!(report.results.len(), 24);
         for r in &report.results {
             assert!(r.min_ns > 0, "{} measured nothing", r.name);
         }
@@ -694,6 +792,30 @@ mod tests {
         assert!(bad.contains("REGRESSION"), "{bad}");
         // The unchecked render carries no verdict column at all.
         assert!(!report.compare(&baseline).render().contains("ok (within"));
+    }
+
+    #[test]
+    fn decode_twin_guard_flags_entries_not_faster_than_scalar() {
+        let report = |gemv_t_ns: u64| BenchReport {
+            profile: "quick",
+            results: vec![
+                BenchResult { name: DECODE_TWINS[0].0.into(), min_ns: gemv_t_ns, reps: 1 },
+                BenchResult { name: DECODE_TWINS[0].1.into(), min_ns: 100, reps: 1 },
+                BenchResult { name: DECODE_TWINS[1].0.into(), min_ns: 40, reps: 1 },
+                BenchResult { name: DECODE_TWINS[1].1.into(), min_ns: 100, reps: 1 },
+            ],
+        };
+        let ok = report(60).check_decode_twins(BackendKind::Simd).unwrap();
+        assert!(ok.lines().filter(|l| l.ends_with("ok")).count() == 2, "{ok}");
+        // A tie is not a win: the SIMD kernel must beat the scalar one.
+        let err = report(100).check_decode_twins(BackendKind::Simd).unwrap_err();
+        assert!(err.contains("REGRESSION") && err.contains(DECODE_TWINS[0].0), "{err}");
+        assert!(!err.contains(&format!("faster than their scalar twin: {}", DECODE_TWINS[1].0)));
+        // On the scalar backend both sides run one kernel: skipped.
+        assert!(report(500).check_decode_twins(BackendKind::Scalar).unwrap().contains("skipped"));
+        // A missing pair fails loudly rather than passing vacuously.
+        let empty = BenchReport { profile: "quick", results: Vec::new() };
+        assert!(empty.check_decode_twins(BackendKind::Simd).unwrap_err().contains("not run"));
     }
 
     #[test]

@@ -57,6 +57,13 @@ pub enum SimError {
         /// Chip that actually sent the message.
         actual: ChipId,
     },
+    /// Extrapolating a steady state to the requested depth would take a
+    /// cycle, byte or event counter past `u64` (or the sync-phase count
+    /// past `usize`); the checked closed form refuses rather than wrap.
+    Overflow {
+        /// The requested block count.
+        n_blocks: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -83,6 +90,9 @@ impl std::fmt::Display for SimError {
             SimError::SenderMismatch { msg, expected, actual } => {
                 write!(f, "message {} expected from {expected} but sent by {actual}", msg.0)
             }
+            SimError::Overflow { n_blocks } => {
+                write!(f, "{n_blocks} blocks overflow the 64-bit cycle and byte counters")
+            }
         }
     }
 }
@@ -99,6 +109,8 @@ mod tests {
         assert!(e.to_string().contains("4 chips"));
         let e = SimError::Deadlock { blocked: vec![ChipId(0)] };
         assert!(e.to_string().contains("deadlock"));
+        let e = SimError::Overflow { n_blocks: 7 };
+        assert!(e.to_string().contains("7 blocks overflow"));
     }
 
     #[test]

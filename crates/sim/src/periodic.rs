@@ -37,7 +37,7 @@
 //!    segment-start minimum clock (an *inactive* component: it is never
 //!    selected by any `max` again, so it behaves as minus infinity).
 
-use crate::{trace::ChipStats, Program, Result, RunStats};
+use crate::{trace::ChipStats, Program, Result, RunStats, SimError};
 use crate::{Instr, Machine, MsgId};
 
 /// Snapshot of the machine's time-like state at a segment boundary, also
@@ -132,32 +132,74 @@ pub(crate) fn uniform_delta(prev: &MachineState, next: &MachineState) -> Option<
     Some(delta.unwrap_or(0))
 }
 
-/// Scales every additive counter of a per-segment [`ChipStats`] by the
-/// number of extrapolated repetitions. Peak queue occupancy is a maximum,
-/// not a sum: the steady-state segment repeats the same occupancy
-/// trajectory, so its peak carries over unscaled.
-pub(crate) fn scaled(stats: &ChipStats, reps: u64) -> ChipStats {
-    ChipStats {
-        compute_cycles: stats.compute_cycles * reps,
-        dma_l3_l2_exposed_cycles: stats.dma_l3_l2_exposed_cycles * reps,
-        dma_l2_l1_exposed_cycles: stats.dma_l2_l1_exposed_cycles * reps,
-        c2c_exposed_cycles: stats.c2c_exposed_cycles * reps,
-        dma_l3_l2_bytes: stats.dma_l3_l2_bytes * reps,
-        dma_l2_l1_bytes: stats.dma_l2_l1_bytes * reps,
-        c2c_bytes_sent: stats.c2c_bytes_sent * reps,
-        sync_marks: stats.sync_marks * reps,
-        finish_cycles: 0,
-        c2c_queue_cycles: stats.c2c_queue_cycles * reps,
-        c2c_peak_queue_bytes: stats.c2c_peak_queue_bytes,
-        c2c_drops: stats.c2c_drops * reps,
-        c2c_retransmits: stats.c2c_retransmits * reps,
-        c2c_gave_up: stats.c2c_gave_up * reps,
-        fault_stall_cycles: stats.fault_stall_cycles * reps,
-        fault_slow_cycles: stats.fault_slow_cycles * reps,
-        fault_link_cycles: stats.fault_link_cycles * reps,
-        fault_transfers_affected: stats.fault_transfers_affected * reps,
-        fault_downtime_cycles: stats.fault_downtime_cycles * reps,
+/// The closed form every steady-state path ends in: per chip, the warmup
+/// `totals` (`warm` blocks) plus `n_blocks - warm` more copies of the
+/// steady segment's additive counters `seg`, with the clock advanced by
+/// its per-block step `t_now - t_prev` each time, and `distinct_syncs`
+/// sync phases per block. Peak queue occupancy is a maximum, not a sum:
+/// the steady-state segment repeats the same occupancy trajectory, so
+/// its peak carries over unscaled.
+///
+/// # Errors
+///
+/// [`SimError::Overflow`] when a counter of the `n_blocks`-deep run
+/// leaves `u64` (or the sync-phase count leaves `usize`) — no product or
+/// sum is ever wrapped.
+pub(crate) fn extrapolate(
+    totals: &[ChipStats],
+    seg: &[ChipStats],
+    t_now: &[u64],
+    t_prev: &[u64],
+    distinct_syncs: usize,
+    warm: usize,
+    n_blocks: usize,
+) -> Result<RunStats> {
+    let reps = u128::from((n_blocks - warm) as u64);
+    // Widened to u128 so every counter is exact; one test of the high
+    // halves at the end keeps the loop branch-free.
+    let mut high = 0u128;
+    let mut per_chip = Vec::with_capacity(totals.len());
+    for ((total, seg), (&now, &prev)) in totals.iter().zip(seg).zip(t_now.iter().zip(t_prev)) {
+        let mut grow = |base: u64, per: u64| {
+            let v = u128::from(base) + u128::from(per) * reps;
+            high |= v >> 64;
+            v as u64
+        };
+        per_chip.push(ChipStats {
+            compute_cycles: grow(total.compute_cycles, seg.compute_cycles),
+            dma_l3_l2_exposed_cycles: grow(
+                total.dma_l3_l2_exposed_cycles,
+                seg.dma_l3_l2_exposed_cycles,
+            ),
+            dma_l2_l1_exposed_cycles: grow(
+                total.dma_l2_l1_exposed_cycles,
+                seg.dma_l2_l1_exposed_cycles,
+            ),
+            c2c_exposed_cycles: grow(total.c2c_exposed_cycles, seg.c2c_exposed_cycles),
+            dma_l3_l2_bytes: grow(total.dma_l3_l2_bytes, seg.dma_l3_l2_bytes),
+            dma_l2_l1_bytes: grow(total.dma_l2_l1_bytes, seg.dma_l2_l1_bytes),
+            c2c_bytes_sent: grow(total.c2c_bytes_sent, seg.c2c_bytes_sent),
+            sync_marks: grow(total.sync_marks, seg.sync_marks),
+            // Inactive chips (step 0) stay parked at their clock; active
+            // chips advance by the step per block.
+            finish_cycles: grow(now, now - prev),
+            c2c_queue_cycles: grow(total.c2c_queue_cycles, seg.c2c_queue_cycles),
+            c2c_peak_queue_bytes: total.c2c_peak_queue_bytes.max(seg.c2c_peak_queue_bytes),
+            c2c_drops: grow(total.c2c_drops, seg.c2c_drops),
+            c2c_retransmits: grow(total.c2c_retransmits, seg.c2c_retransmits),
+            c2c_gave_up: grow(total.c2c_gave_up, seg.c2c_gave_up),
+            fault_stall_cycles: grow(total.fault_stall_cycles, seg.fault_stall_cycles),
+            fault_slow_cycles: grow(total.fault_slow_cycles, seg.fault_slow_cycles),
+            fault_link_cycles: grow(total.fault_link_cycles, seg.fault_link_cycles),
+            fault_transfers_affected: grow(
+                total.fault_transfers_affected,
+                seg.fault_transfers_affected,
+            ),
+            fault_downtime_cycles: grow(total.fault_downtime_cycles, seg.fault_downtime_cycles),
+        });
     }
+    let syncs = distinct_syncs.checked_mul(n_blocks).filter(|_| high == 0);
+    Ok(RunStats::new(per_chip, syncs.ok_or(SimError::Overflow { n_blocks })?))
 }
 
 fn add_assign(into: &mut ChipStats, from: &ChipStats) {
@@ -373,22 +415,15 @@ impl Machine {
                     None => true,
                 };
                 if separated_forever {
-                    let reps = (n_blocks - seg) as u64;
-                    let per_chip = totals
-                        .iter()
-                        .zip(&run.stats)
-                        .zip(run.state.t.iter().zip(&carry.t))
-                        .map(|((total, seg_stats), (&t_now, &t_prev))| {
-                            let mut chip = total.clone();
-                            add_assign(&mut chip, &scaled(seg_stats, reps));
-                            // Inactive chips (delta 0) stay parked at
-                            // their clock; active chips advance by delta
-                            // per block.
-                            chip.finish_cycles = t_now + reps * (t_now - t_prev);
-                            chip
-                        })
-                        .collect();
-                    return Ok(RunStats::new(per_chip, run.distinct_syncs * n_blocks));
+                    return extrapolate(
+                        &totals,
+                        &run.stats,
+                        &run.state.t,
+                        &carry.t,
+                        run.distinct_syncs,
+                        seg,
+                        n_blocks,
+                    );
                 }
             }
             if seg == n_blocks {
@@ -549,20 +584,15 @@ impl Machine {
         // From here on this is `run_periodic`'s extrapolation arm
         // verbatim, with the loop-carried values read from the
         // checkpoint instead of recomputed.
-        let reps = (n_blocks - fixed.segments) as u64;
-        let per_chip = fixed
-            .totals
-            .iter()
-            .zip(&fixed.last)
-            .zip(fixed.t_now.iter().zip(&fixed.t_prev))
-            .map(|((total, seg_stats), (&t_now, &t_prev))| {
-                let mut chip = total.clone();
-                add_assign(&mut chip, &scaled(seg_stats, reps));
-                chip.finish_cycles = t_now + reps * (t_now - t_prev);
-                chip
-            })
-            .collect();
-        Ok(RunStats::new(per_chip, fixed.distinct_syncs * n_blocks))
+        extrapolate(
+            &fixed.totals,
+            &fixed.last,
+            &fixed.t_now,
+            &fixed.t_prev,
+            fixed.distinct_syncs,
+            fixed.segments,
+            n_blocks,
+        )
     }
 
     /// Executes `n_blocks` Transformer blocks each serving a uniform
@@ -616,7 +646,7 @@ impl Machine {
         n_blocks: usize,
         n_requests: usize,
     ) -> Result<RunStats> {
-        let total = n_blocks.checked_mul(n_requests).expect("batched block count overflows usize");
+        let total = n_blocks.checked_mul(n_requests).ok_or(SimError::Overflow { n_blocks })?;
         self.run_periodic(template, total)
     }
 }
@@ -659,6 +689,32 @@ mod tests {
         assert_eq!(big.makespan, 10_000 * one.makespan);
         assert_eq!(big.per_chip[0].compute_cycles, 10_000 * one.per_chip[0].compute_cycles);
         assert_eq!(big.sync_phases, 10_000);
+    }
+
+    #[test]
+    fn extrapolation_stops_exactly_at_the_u64_boundary() {
+        let m = machine(1);
+        let template =
+            [Program::from_instrs([Instr::compute(Kernel::gemv(256, 256)), Instr::Sync(0)])];
+        let per_block = m.run(&template).unwrap().makespan;
+        // The deepest run whose clock still fits a u64, and one past it.
+        let last = usize::try_from(u64::MAX / per_block).unwrap();
+        let ckpt = m.warmup(&template).unwrap();
+        for stats in [m.run_periodic(&template, last), m.run_periodic_from(&template, last, &ckpt)]
+        {
+            let stats = stats.unwrap();
+            assert_eq!(stats.makespan, last as u64 * per_block);
+            assert_eq!(stats.sync_phases, last);
+        }
+        for n_blocks in [last + 1, usize::MAX] {
+            let overflow = Err(SimError::Overflow { n_blocks });
+            assert_eq!(m.run_periodic(&template, n_blocks), overflow);
+            assert_eq!(m.run_periodic_from(&template, n_blocks, &ckpt), overflow);
+        }
+        assert_eq!(
+            m.run_batched(&template, usize::MAX, 2),
+            Err(SimError::Overflow { n_blocks: usize::MAX })
+        );
     }
 
     #[test]

@@ -32,9 +32,9 @@
 //! piecewise function of bandwidth whose knee is the compute-bound /
 //! link-bound crossover.
 
-use crate::periodic::{scaled, uniform_delta, MachineState, MAX_WARMUP_SEGMENTS};
+use crate::periodic::{extrapolate, uniform_delta, MachineState, MAX_WARMUP_SEGMENTS};
 use crate::trace::ChipStats;
-use crate::{ChipSpec, Instr, LinkRegime, Machine, Program, Result, RunStats};
+use crate::{ChipSpec, Instr, LinkRegime, Machine, Program, Result, RunStats, SimError};
 
 /// One exact warmup-boundary snapshot: everything needed to answer a
 /// block count that falls inside the warmup window.
@@ -189,11 +189,27 @@ impl SymbolicMakespan {
     /// Exact [`RunStats`] for `n_blocks` repetitions — bit-identical to
     /// [`crate::Machine::run_periodic`] on the same pair, with zero
     /// simulation: warmup-window depths read the stored prefix snapshot,
-    /// deeper ones apply one multiply-add per counter.
+    /// deeper ones apply one checked multiply-add per counter.
+    ///
+    /// # Panics
+    ///
+    /// When a counter of the `n_blocks`-deep run leaves `u64`;
+    /// [`Self::try_eval`] reports that as an error instead.
     #[must_use]
     pub fn eval(&self, n_blocks: usize) -> RunStats {
+        self.try_eval(n_blocks).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::eval`] for depths that may not fit the counters.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::SimError::Overflow`] when a counter of the
+    /// `n_blocks`-deep run leaves `u64` (the same depths where
+    /// [`crate::Machine::run_periodic`] returns it).
+    pub fn try_eval(&self, n_blocks: usize) -> Result<RunStats> {
         if n_blocks == 0 {
-            return RunStats::new(vec![ChipStats::default(); self.n_chips], 0);
+            return Ok(RunStats::new(vec![ChipStats::default(); self.n_chips], 0));
         }
         let warm = self.prefix.len();
         if n_blocks <= warm {
@@ -208,27 +224,27 @@ impl SymbolicMakespan {
                     chip
                 })
                 .collect();
-            return RunStats::new(per_chip, p.distinct_syncs * n_blocks);
+            return Ok(RunStats::new(per_chip, p.distinct_syncs * n_blocks));
         }
-        let reps = (n_blocks - warm) as u64;
-        let totals = &self.prefix[warm - 1].totals;
-        let per_chip = totals
-            .iter()
-            .zip(&self.last)
-            .zip(self.t_now.iter().zip(&self.t_prev))
-            .map(|((total, seg_stats), (&t_now, &t_prev))| {
-                let mut chip = total.clone();
-                chip.accumulate(&scaled(seg_stats, reps));
-                chip.finish_cycles = t_now + reps * (t_now - t_prev);
-                chip
-            })
-            .collect();
-        RunStats::new(per_chip, self.distinct_syncs * n_blocks)
+        extrapolate(
+            &self.prefix[warm - 1].totals,
+            &self.last,
+            &self.t_now,
+            &self.t_prev,
+            self.distinct_syncs,
+            warm,
+            n_blocks,
+        )
     }
 
     /// The closed-form makespan: `startup + (n - warm_blocks) * delta`
     /// beyond the warmup window, the stored boundary maximum inside it,
     /// `0` for an empty run. Always equals `self.eval(n_blocks).makespan`.
+    ///
+    /// # Panics
+    ///
+    /// When the makespan leaves `u64` (a depth where [`Self::try_eval`]
+    /// returns [`SimError::Overflow`]).
     #[must_use]
     pub fn makespan(&self, n_blocks: usize) -> u64 {
         if n_blocks == 0 {
@@ -238,7 +254,10 @@ impl SymbolicMakespan {
         if n_blocks <= warm {
             return self.prefix[n_blocks - 1].t.iter().copied().max().unwrap_or(0);
         }
-        self.startup() + (n_blocks - warm) as u64 * self.delta
+        ((n_blocks - warm) as u64)
+            .checked_mul(self.delta)
+            .and_then(|tail| self.startup().checked_add(tail))
+            .unwrap_or_else(|| panic!("{}", SimError::Overflow { n_blocks }))
     }
 
     /// Makespan of the whole warmup window (the `startup` term of the
@@ -497,6 +516,26 @@ mod tests {
             Instr::send(0, 1, 2048),
         ]);
         [p0, p1]
+    }
+
+    #[test]
+    fn eval_is_checked_at_the_u64_boundary() {
+        let m = machine(2);
+        let template = ping_pong_template();
+        let sym = SymbolicMakespan::derive(&m, &template).unwrap().unwrap();
+        // The deepest run whose makespan still fits a u64, and one past it.
+        let last =
+            sym.warm_blocks() + usize::try_from((u64::MAX - sym.startup()) / sym.delta()).unwrap();
+        let edge = sym.try_eval(last).unwrap();
+        assert_eq!(edge.makespan, sym.makespan(last));
+        assert!(edge.makespan > u64::MAX - sym.delta());
+        assert_eq!(Ok(edge), m.run_periodic(&template, last));
+        for n_blocks in [last + 1, usize::MAX] {
+            assert_eq!(sym.try_eval(n_blocks), Err(SimError::Overflow { n_blocks }));
+            assert_eq!(m.run_periodic(&template, n_blocks), Err(SimError::Overflow { n_blocks }));
+        }
+        // In range, the checked and panicking forms agree.
+        assert_eq!(sym.try_eval(10_000).unwrap(), sym.eval(10_000));
     }
 
     #[test]

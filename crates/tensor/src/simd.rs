@@ -9,13 +9,20 @@
 //! *independent* output columns advance per instruction; it never reorders
 //! any one element's chain.
 //!
-//! The transposed flavours (`matmul_t`, the attention score dot) first
+//! Kernels are picked by the number of output rows `m`. With `m >= 4`
+//! the transposed flavours (`matmul_t`, the attention score dot) first
 //! pack the transposed operand into a pooled [`crate::workspace`] scratch
-//! (O(k·n) moves against O(m·k·n) math) and then run the same GEMM, which
-//! turns the scalar path's stride-`k` gather into contiguous row streams.
-//! Half-precision operands widen exactly to f32 scratch and reuse the f32
-//! GEMM; int8 uses a widening 32-bit integer kernel that is exact, so all
-//! backends agree bit for bit on every dtype.
+//! — k·n moves, amortized over the m·k·n multiply-adds — and then run the
+//! same register-tiled GEMM, which turns the scalar path's stride-`k`
+//! gather into contiguous row streams. Decode shapes (`m < 4`, no 4-row
+//! tile) are bound by reading the weights once, and at `m = 1` a pack
+//! moves as many elements as the product multiplies, so they get their
+//! own scratch-free kernels: [`gemv_avx2`] streams `b` row by row into
+//! register-held output columns, and [`gemv_t_avx2`] / [`gemv_t_avx512`]
+//! read eight / sixteen `b` rows contiguously and transpose each tile in
+//! registers. Half-precision operands widen exactly to f32 scratch and
+//! reuse the f32 GEMM; int8 uses a widening 32-bit integer kernel that is
+//! exact, so all backends agree bit for bit on every dtype.
 
 #![allow(unsafe_code)] // The one module allowed to: every unsafe fn is
                        // `#[target_feature(enable = "avx2")]` and only
@@ -99,6 +106,7 @@ unsafe fn vmadd512(acc: __m512, a: __m512, b: __m512) -> __m512 {
 /// registers) around a 4-row micro-tile, so each `b` element is loaded
 /// once per four output rows and `out` traffic is one store per element —
 /// the register-accumulator structure the scalar kernel can't express.
+/// The `m % 4` rows left over below the last tile go to [`gemv_avx2`].
 ///
 /// # Safety
 ///
@@ -119,11 +127,12 @@ unsafe fn gemm_avx2(
     n: usize,
     accumulate: bool,
 ) {
+    let m4 = m - m % 4;
     let mut j = 0usize;
     // 16-column panels: 4x16 register tiles (8 accumulator ymm).
     while j + 16 <= n {
         let mut i = 0usize;
-        while i + 4 <= m {
+        while i < m4 {
             let a0 = a.add(i * a_stride);
             let a1 = a.add((i + 1) * a_stride);
             let a2 = a.add((i + 2) * a_stride);
@@ -176,32 +185,12 @@ unsafe fn gemm_avx2(
             _mm256_storeu_ps(o3.add(8), c31);
             i += 4;
         }
-        // Row tail: 1x16 tiles.
-        while i < m {
-            let ar = a.add(i * a_stride);
-            let o = out.add(i * out_stride + j);
-            let (mut c0, mut c1) = if accumulate {
-                (_mm256_loadu_ps(o), _mm256_loadu_ps(o.add(8)))
-            } else {
-                (_mm256_setzero_ps(), _mm256_setzero_ps())
-            };
-            let mut bp = b.add(j);
-            for p in 0..k {
-                let x = _mm256_set1_ps(*ar.add(p));
-                c0 = vmadd(c0, x, _mm256_loadu_ps(bp));
-                c1 = vmadd(c1, x, _mm256_loadu_ps(bp.add(8)));
-                bp = bp.add(b_stride);
-            }
-            _mm256_storeu_ps(o, c0);
-            _mm256_storeu_ps(o.add(8), c1);
-            i += 1;
-        }
         j += 16;
     }
-    // 8-column panel tail: 4x8 tiles, then 1x8.
+    // 8-column panel tail: 4x8 tiles.
     while j + 8 <= n {
         let mut i = 0usize;
-        while i + 4 <= m {
+        while i < m4 {
             let a0 = a.add(i * a_stride);
             let a1 = a.add((i + 1) * a_stride);
             let a2 = a.add((i + 2) * a_stride);
@@ -231,31 +220,24 @@ unsafe fn gemm_avx2(
             _mm256_storeu_ps(o3, c3);
             i += 4;
         }
-        while i < m {
-            let ar = a.add(i * a_stride);
-            let o = out.add(i * out_stride + j);
-            let mut c = if accumulate { _mm256_loadu_ps(o) } else { _mm256_setzero_ps() };
-            let mut bp = b.add(j);
-            for p in 0..k {
-                c = vmadd(c, _mm256_set1_ps(*ar.add(p)), _mm256_loadu_ps(bp));
-                bp = bp.add(b_stride);
-            }
-            _mm256_storeu_ps(o, c);
-            i += 1;
-        }
         j += 8;
     }
     // Scalar column tail (< 8 columns): same ascending-`p` madd chains.
-    if j < n {
-        for i in 0..m {
-            for jj in j..n {
-                let mut acc = if accumulate { *out.add(i * out_stride + jj) } else { 0.0 };
-                for p in 0..k {
-                    acc = madd(acc, *a.add(i * a_stride + p), *b.add(p * b_stride + jj));
-                }
-                *out.add(i * out_stride + jj) = acc;
-            }
-        }
+    gemm_cols_scalar(a, a_stride, b, b_stride, out, out_stride, m4, k, j, n, accumulate);
+    // The `m % 4` leftover rows form no 4-row tile: the decode kernel.
+    if m4 < m {
+        gemv_rows_avx2(
+            a.add(m4 * a_stride),
+            a_stride,
+            b,
+            b_stride,
+            out.add(m4 * out_stride),
+            out_stride,
+            m - m4,
+            k,
+            n,
+            accumulate,
+        );
     }
 }
 
@@ -626,6 +608,444 @@ unsafe fn gemm_avx512_packing(
     }
 }
 
+/// Scalar column tail shared by the strided kernels: columns `j0..n` of
+/// every row, each one ascending-`p` [`madd`] chain.
+///
+/// # Safety
+///
+/// Same bounds contract as [`gemm_avx2`].
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_cols_scalar(
+    a: *const f32,
+    a_stride: usize,
+    b: *const f32,
+    b_stride: usize,
+    out: *mut f32,
+    out_stride: usize,
+    m: usize,
+    k: usize,
+    j0: usize,
+    n: usize,
+    accumulate: bool,
+) {
+    for i in 0..m {
+        for j in j0..n {
+            let o = out.add(i * out_stride + j);
+            let mut acc = if accumulate { *o } else { 0.0 };
+            for p in 0..k {
+                acc = madd(acc, *a.add(i * a_stride + p), *b.add(p * b_stride + j));
+            }
+            *o = acc;
+        }
+    }
+}
+
+/// Most weight rows one [`gemv_avx2`] chunk streams before its column
+/// blocks store their chains back to `out`.
+const GEMV_ROWS: usize = 16;
+
+/// Floats of `b` one [`gemv_avx2`] chunk may span (16 KiB), so a chunk
+/// and the next one it prefetches fit in L1 together.
+const GEMV_CHUNK_FLOATS: usize = 4096;
+
+/// Decode-shape strided GEMM for `M < 4` output rows, where no 4-row
+/// tile forms: `out[i,j] (+)= sum_p a[i,p] * b[p,j]` in row-streaming
+/// (axpy) form. The reduction runs in chunks of up to [`GEMV_ROWS`]
+/// weight rows and [`GEMV_CHUNK_FLOATS`] elements; within a chunk each
+/// 32-column block broadcasts `a[i,p]` and
+/// streams its slice of `b`'s row `p` into register-held output columns,
+/// so `b` is read once, row-major, for all `M` rows — the order a
+/// hardware prefetcher follows — while `out` is loaded and stored once
+/// per chunk. Every lane is one output element's ascending-`p`
+/// [`vmadd`] chain, resumed from `out` at each chunk boundary.
+///
+/// # Safety
+///
+/// Requires AVX2; same bounds contract as [`gemm_avx2`] with `m = M`.
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2")]
+unsafe fn gemv_avx2<const M: usize>(
+    a: *const f32,
+    a_stride: usize,
+    b: *const f32,
+    b_stride: usize,
+    out: *mut f32,
+    out_stride: usize,
+    k: usize,
+    n: usize,
+    accumulate: bool,
+) {
+    let n8 = n - n % 8;
+    let chunk = (GEMV_CHUNK_FLOATS / n.max(1)).clamp(1, GEMV_ROWS);
+    let mut p0 = 0usize;
+    // At least one chunk, so `k = 0` still zeroes a non-accumulating `out`.
+    loop {
+        let rows = (k - p0).min(chunk);
+        let resume = accumulate || p0 > 0;
+        let (ap, bp) = (a.add(p0), b.add(p0 * b_stride));
+        let mut j = 0usize;
+        while j + 32 <= n8 {
+            gemv_cols_avx2::<M, 4>(
+                ap,
+                a_stride,
+                bp.add(j),
+                b_stride,
+                out.add(j),
+                out_stride,
+                rows,
+                chunk,
+                resume,
+            );
+            j += 32;
+        }
+        while j < n8 {
+            gemv_cols_avx2::<M, 1>(
+                ap,
+                a_stride,
+                bp.add(j),
+                b_stride,
+                out.add(j),
+                out_stride,
+                rows,
+                chunk,
+                resume,
+            );
+            j += 8;
+        }
+        p0 += rows;
+        if p0 >= k {
+            break;
+        }
+    }
+    gemm_cols_scalar(a, a_stride, b, b_stride, out, out_stride, M, k, n8, n, accumulate);
+}
+
+/// [`gemv_avx2`] for a runtime row count `m < 4` (`m = 0` does nothing).
+///
+/// # Safety
+///
+/// Same contract as [`gemv_avx2`] with `M = m`.
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2")]
+unsafe fn gemv_rows_avx2(
+    a: *const f32,
+    a_stride: usize,
+    b: *const f32,
+    b_stride: usize,
+    out: *mut f32,
+    out_stride: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    accumulate: bool,
+) {
+    debug_assert!(m < 4, "decode kernel takes fewer than 4 rows");
+    match m {
+        1 => gemv_avx2::<1>(a, a_stride, b, b_stride, out, out_stride, k, n, accumulate),
+        2 => gemv_avx2::<2>(a, a_stride, b, b_stride, out, out_stride, k, n, accumulate),
+        3 => gemv_avx2::<3>(a, a_stride, b, b_stride, out, out_stride, k, n, accumulate),
+        _ => {}
+    }
+}
+
+/// One `M x (8·NB)` register block of [`gemv_avx2`], starting at column 0
+/// of the (offset) `b` and `out` pointers; it prefetches its slice of the
+/// rows `ahead` rows further down (the next chunk).
+///
+/// # Safety
+///
+/// Requires AVX2; `b` and `out` must cover `8·NB` columns of `k` and `M`
+/// rows at their strides.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn gemv_cols_avx2<const M: usize, const NB: usize>(
+    a: *const f32,
+    a_stride: usize,
+    b: *const f32,
+    b_stride: usize,
+    out: *mut f32,
+    out_stride: usize,
+    k: usize,
+    ahead: usize,
+    accumulate: bool,
+) {
+    let mut acc = [[_mm256_setzero_ps(); NB]; M];
+    if accumulate {
+        for (i, row) in acc.iter_mut().enumerate() {
+            for (c, v) in row.iter_mut().enumerate() {
+                *v = _mm256_loadu_ps(out.add(i * out_stride + 8 * c));
+            }
+        }
+    }
+    for p in 0..k {
+        let b_row = b.add(p * b_stride);
+        // Request this block's slice of the next chunk's row now: with
+        // weights in DRAM, one core's read rate is set by the misses in
+        // flight. A hint past the end of `b` is harmless (no fault).
+        for c in (0..NB).step_by(2) {
+            let next = b_row.wrapping_add(ahead * b_stride + 8 * c);
+            _mm_prefetch::<_MM_HINT_T0>(next.cast::<i8>());
+        }
+        let mut bv = [_mm256_setzero_ps(); NB];
+        for (c, v) in bv.iter_mut().enumerate() {
+            *v = _mm256_loadu_ps(b_row.add(8 * c));
+        }
+        for (i, row) in acc.iter_mut().enumerate() {
+            let x = _mm256_set1_ps(*a.add(i * a_stride + p));
+            for (v, &bc) in row.iter_mut().zip(&bv) {
+                *v = vmadd(*v, x, bc);
+            }
+        }
+    }
+    for (i, row) in acc.iter().enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            _mm256_storeu_ps(out.add(i * out_stride + 8 * c), v);
+        }
+    }
+}
+
+/// In-register 8x8 transpose: `rows[t]` lane `s` becomes `cols[s]` lane
+/// `t` (unpack, 64-bit unpack, 128-bit lane permute — 24 shuffles).
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose8(rows: &[__m256; 8]) -> [__m256; 8] {
+    let mut t = [_mm256_setzero_ps(); 8];
+    for q in 0..4 {
+        t[2 * q] = _mm256_unpacklo_ps(rows[2 * q], rows[2 * q + 1]);
+        t[2 * q + 1] = _mm256_unpackhi_ps(rows[2 * q], rows[2 * q + 1]);
+    }
+    // u[4g + c]: rows 4g..4g+4 of columns c and 4 + c (one per 128-bit half).
+    let mut u = [_mm256_setzero_ps(); 8];
+    for g in 0..2 {
+        let (lo, hi) = (_mm256_castps_pd(t[4 * g]), _mm256_castps_pd(t[4 * g + 2]));
+        let (lo1, hi1) = (_mm256_castps_pd(t[4 * g + 1]), _mm256_castps_pd(t[4 * g + 3]));
+        u[4 * g] = _mm256_castpd_ps(_mm256_unpacklo_pd(lo, hi));
+        u[4 * g + 1] = _mm256_castpd_ps(_mm256_unpackhi_pd(lo, hi));
+        u[4 * g + 2] = _mm256_castpd_ps(_mm256_unpacklo_pd(lo1, hi1));
+        u[4 * g + 3] = _mm256_castpd_ps(_mm256_unpackhi_pd(lo1, hi1));
+    }
+    let mut cols = [_mm256_setzero_ps(); 8];
+    for c in 0..4 {
+        cols[c] = _mm256_permute2f128_ps::<0x20>(u[c], u[4 + c]);
+        cols[4 + c] = _mm256_permute2f128_ps::<0x31>(u[c], u[4 + c]);
+    }
+    cols
+}
+
+/// Decode-shape transposed product for `M < 4` rows:
+/// `out[i*n + j] = scale * sum_p a[i,p] * b[j,p]`. Reads `b`'s rows
+/// contiguously eight at a time, transposes each 8x8 tile in registers
+/// and keeps one ascending-`p` [`vmadd`] chain per output lane — no
+/// `k·n` pack, and each weight row is streamed once for all `M` rows.
+///
+/// # Safety
+///
+/// Requires AVX2; `a` must cover `(M-1)*a_stride + k`, `b` must cover
+/// `(n-1)*b_stride + k`, `out` must cover `M*n`; `n >= 1`.
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2")]
+unsafe fn gemv_t_avx2<const M: usize>(
+    a: *const f32,
+    a_stride: usize,
+    b: *const f32,
+    b_stride: usize,
+    scale: f32,
+    out: *mut f32,
+    k: usize,
+    n: usize,
+) {
+    let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let tail_mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((k % 8) as i32), lane);
+    let sv = _mm256_set1_ps(scale);
+    let mut j = 0usize;
+    while j < n {
+        let nr = (n - j).min(8);
+        // Lanes past `n` re-read the last real row; they are never stored.
+        let mut rp = [b; 8];
+        for (t, r) in rp.iter_mut().enumerate() {
+            *r = b.add((j + t.min(nr - 1)) * b_stride);
+        }
+        let mut acc = [_mm256_setzero_ps(); M];
+        let mut p = 0usize;
+        while p + 8 <= k {
+            let mut rows = [_mm256_setzero_ps(); 8];
+            for (v, r) in rows.iter_mut().zip(&rp) {
+                *v = _mm256_loadu_ps(r.add(p));
+            }
+            let cols = transpose8(&rows);
+            for (s, &col) in cols.iter().enumerate() {
+                for (i, v) in acc.iter_mut().enumerate() {
+                    *v = vmadd(*v, _mm256_set1_ps(*a.add(i * a_stride + p + s)), col);
+                }
+            }
+            p += 8;
+        }
+        if p < k {
+            let mut rows = [_mm256_setzero_ps(); 8];
+            for (v, r) in rows.iter_mut().zip(&rp) {
+                *v = _mm256_maskload_ps(r.add(p), tail_mask);
+            }
+            let cols = transpose8(&rows);
+            for (s, &col) in cols[..k - p].iter().enumerate() {
+                for (i, v) in acc.iter_mut().enumerate() {
+                    *v = vmadd(*v, _mm256_set1_ps(*a.add(i * a_stride + p + s)), col);
+                }
+            }
+        }
+        for (i, &v) in acc.iter().enumerate() {
+            let o = out.add(i * n + j);
+            let r = _mm256_mul_ps(v, sv);
+            if nr == 8 {
+                _mm256_storeu_ps(o, r);
+            } else {
+                let mut lanes = [0f32; 8];
+                _mm256_storeu_ps(lanes.as_mut_ptr(), r);
+                core::ptr::copy_nonoverlapping(lanes.as_ptr(), o, nr);
+            }
+        }
+        j += 8;
+    }
+}
+
+/// In-register 16x16 transpose: `rows[t]` lane `s` becomes `cols[s]` lane
+/// `t` (two unpack rounds within 128-bit lanes, then two 128-bit lane
+/// shuffle rounds — 64 shuffles).
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn transpose16(rows: &[__m512; 16]) -> [__m512; 16] {
+    let mut t = [_mm512_setzero_ps(); 16];
+    for q in 0..8 {
+        t[2 * q] = _mm512_unpacklo_ps(rows[2 * q], rows[2 * q + 1]);
+        t[2 * q + 1] = _mm512_unpackhi_ps(rows[2 * q], rows[2 * q + 1]);
+    }
+    // u[4g + c]: rows 4g..4g+4 of columns c, 4+c, 8+c, 12+c (one per
+    // 128-bit lane).
+    let mut u = [_mm512_setzero_ps(); 16];
+    for g in 0..4 {
+        let (lo, hi) = (_mm512_castps_pd(t[4 * g]), _mm512_castps_pd(t[4 * g + 2]));
+        let (lo1, hi1) = (_mm512_castps_pd(t[4 * g + 1]), _mm512_castps_pd(t[4 * g + 3]));
+        u[4 * g] = _mm512_castpd_ps(_mm512_unpacklo_pd(lo, hi));
+        u[4 * g + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(lo, hi));
+        u[4 * g + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(lo1, hi1));
+        u[4 * g + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(lo1, hi1));
+    }
+    let mut cols = [_mm512_setzero_ps(); 16];
+    for c in 0..4 {
+        // [rows 0-3 | rows 4-7] (resp. rows 8-15) of columns c, 8+c
+        // (`even`) and 4+c, 12+c (`odd`).
+        let even01 = _mm512_shuffle_f32x4::<0x88>(u[c], u[4 + c]);
+        let odd01 = _mm512_shuffle_f32x4::<0xdd>(u[c], u[4 + c]);
+        let even23 = _mm512_shuffle_f32x4::<0x88>(u[8 + c], u[12 + c]);
+        let odd23 = _mm512_shuffle_f32x4::<0xdd>(u[8 + c], u[12 + c]);
+        cols[c] = _mm512_shuffle_f32x4::<0x88>(even01, even23);
+        cols[8 + c] = _mm512_shuffle_f32x4::<0xdd>(even01, even23);
+        cols[4 + c] = _mm512_shuffle_f32x4::<0x88>(odd01, odd23);
+        cols[12 + c] = _mm512_shuffle_f32x4::<0xdd>(odd01, odd23);
+    }
+    cols
+}
+
+/// AVX-512 flavour of [`gemv_t_avx2`]: sixteen `b` rows per tile, a
+/// 16x16 in-register transpose, masked loads for the `k % 16` tail and a
+/// masked store for the `n % 16` tail. Same chains, same bits.
+///
+/// # Safety
+///
+/// Requires AVX-512F (runtime-detected by the caller); same bounds
+/// contract as [`gemv_t_avx2`].
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemv_t_avx512<const M: usize>(
+    a: *const f32,
+    a_stride: usize,
+    b: *const f32,
+    b_stride: usize,
+    scale: f32,
+    out: *mut f32,
+    k: usize,
+    n: usize,
+) {
+    let tail_mask: __mmask16 = (1u16 << (k % 16)).wrapping_sub(1);
+    let sv = _mm512_set1_ps(scale);
+    let mut j = 0usize;
+    while j < n {
+        let nr = (n - j).min(16);
+        // Lanes past `n` re-read the last real row; they are never stored.
+        let mut rp = [b; 16];
+        for (t, r) in rp.iter_mut().enumerate() {
+            *r = b.add((j + t.min(nr - 1)) * b_stride);
+        }
+        let mut acc = [_mm512_setzero_ps(); M];
+        let mut p = 0usize;
+        while p + 16 <= k {
+            let mut rows = [_mm512_setzero_ps(); 16];
+            for (v, r) in rows.iter_mut().zip(&rp) {
+                *v = _mm512_loadu_ps(r.add(p));
+            }
+            let cols = transpose16(&rows);
+            for (s, &col) in cols.iter().enumerate() {
+                for (i, v) in acc.iter_mut().enumerate() {
+                    *v = vmadd512(*v, _mm512_set1_ps(*a.add(i * a_stride + p + s)), col);
+                }
+            }
+            p += 16;
+        }
+        if p < k {
+            let mut rows = [_mm512_setzero_ps(); 16];
+            for (v, r) in rows.iter_mut().zip(&rp) {
+                *v = _mm512_maskz_loadu_ps(tail_mask, r.add(p));
+            }
+            let cols = transpose16(&rows);
+            for (s, &col) in cols[..k - p].iter().enumerate() {
+                for (i, v) in acc.iter_mut().enumerate() {
+                    *v = vmadd512(*v, _mm512_set1_ps(*a.add(i * a_stride + p + s)), col);
+                }
+            }
+        }
+        let store_mask: __mmask16 = if nr == 16 { !0 } else { (1u16 << nr) - 1 };
+        for (i, &v) in acc.iter().enumerate() {
+            _mm512_mask_storeu_ps(out.add(i * n + j), store_mask, _mm512_mul_ps(v, sv));
+        }
+        j += 16;
+    }
+}
+
+/// The decode-shape transposed product for a runtime row count
+/// `1 <= m < 4`: [`gemv_t_avx512`] when the host has AVX-512F, else
+/// [`gemv_t_avx2`].
+///
+/// # Safety
+///
+/// Requires AVX2; same bounds contract as [`gemv_t_avx2`] with `M = m`.
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemv_t_rows(
+    a: *const f32,
+    a_stride: usize,
+    b: *const f32,
+    b_stride: usize,
+    scale: f32,
+    out: *mut f32,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    debug_assert!((1..4).contains(&m), "decode kernel takes 1 to 3 rows");
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        match m {
+            1 => gemv_t_avx512::<1>(a, a_stride, b, b_stride, scale, out, k, n),
+            2 => gemv_t_avx512::<2>(a, a_stride, b, b_stride, scale, out, k, n),
+            _ => gemv_t_avx512::<3>(a, a_stride, b, b_stride, scale, out, k, n),
+        }
+    } else {
+        match m {
+            1 => gemv_t_avx2::<1>(a, a_stride, b, b_stride, scale, out, k, n),
+            2 => gemv_t_avx2::<2>(a, a_stride, b, b_stride, scale, out, k, n),
+            _ => gemv_t_avx2::<3>(a, a_stride, b, b_stride, scale, out, k, n),
+        }
+    }
+}
+
 /// `row *= scale` — one correctly-rounded multiply per element, matching
 /// the scalar path's final `acc * scale`.
 ///
@@ -843,11 +1263,30 @@ impl Backend for SimdBackend {
         if m == 0 || n == 0 {
             return;
         }
+        if m < 4 {
+            // Decode shapes form no 4-row tile: stream `b` row by row.
+            // SAFETY: AVX2 by construction; bounds asserted above.
+            unsafe {
+                gemv_rows_avx2(
+                    a.as_ptr(),
+                    a_stride,
+                    b.as_ptr(),
+                    b_stride,
+                    out.as_mut_ptr(),
+                    out_stride,
+                    m,
+                    k,
+                    n,
+                    accumulate,
+                );
+            }
+            return;
+        }
         // With enough output rows to amortize the O(k*n) copy, pack `b`
         // into panel-major scratch so the hot loop streams it sequentially
         // (identical chains, identical bits — only the addressing order of
-        // loads changes). Small-m calls (the decode matvec path) get no
-        // reuse out of packing, so they take the direct-stride kernel.
+        // loads changes). Fewer rows get too little reuse out of packing,
+        // so they take the direct-stride kernel.
         let n16 = n - n % 16;
         if m >= 8 && k > 0 && n16 > 0 {
             // Leading 32-column panels go to the AVX-512 tile when the
@@ -960,9 +1399,29 @@ impl Backend for SimdBackend {
                 && out.len() >= m * n,
             "scaled_dot_t operand slices too short for {m}x{k}x{n}"
         );
-        // Pack b^T once (k*n moves): bt[p, j] = b[j, p]. The f32 GEMM then
-        // streams it — and re-dispatches onto the panel-packed kernel when
-        // `m` is large enough to amortize it (prefill/attention shapes).
+        if m < 4 {
+            // Decode shapes: a pack would move as much as the product
+            // computes, so transpose `b` in registers instead.
+            // SAFETY: AVX2 by construction; bounds asserted above.
+            unsafe {
+                gemv_t_rows(
+                    a.as_ptr(),
+                    a_stride,
+                    b.as_ptr(),
+                    b_stride,
+                    scale,
+                    out.as_mut_ptr(),
+                    m,
+                    k,
+                    n,
+                );
+            }
+            return;
+        }
+        // Pack b^T once (k*n moves against m*k*n multiply-adds): bt[p, j]
+        // = b[j, p]. The f32 GEMM then streams it — and re-dispatches
+        // onto the panel-packed kernel when `m` is large enough to
+        // amortize it (prefill/attention shapes).
         with_scratch(k * n, |bt| {
             for j in 0..n {
                 let b_row = &b[j * b_stride..][..k];
@@ -1084,6 +1543,18 @@ mod tests {
         (8, 17, 96),
     ];
 
+    /// [`SIZES`] plus the decode shapes (`m < 4`, no 4-row tile) at
+    /// model-sized reductions, covering every row, column and reduction
+    /// tail of the GEMV kernels.
+    fn sizes() -> impl Iterator<Item = (usize, usize, usize)> {
+        let decode = [1, 2, 3].into_iter().flat_map(|m| {
+            [64, 100, 512]
+                .into_iter()
+                .flat_map(move |k| [17, 64, 256, 1000].into_iter().map(move |n| (m, k, n)))
+        });
+        SIZES.iter().copied().chain(decode)
+    }
+
     #[test]
     #[ignore = "manual perf probe"]
     fn perf_probe() {
@@ -1126,7 +1597,7 @@ mod tests {
     fn simd_matmul_bit_identical_to_scalar() {
         let Some(simd) = SimdBackend::try_new() else { return };
         let scalar = ScalarBackend;
-        for &(m, k, n) in SIZES {
+        for (m, k, n) in sizes() {
             let a = fill(m * k, 1);
             let b = fill(k * n, 2);
             let mut want = vec![0.0f32; m * n];
@@ -1148,7 +1619,7 @@ mod tests {
     fn simd_strided_gemm_and_scaled_dot_bit_identical_to_scalar() {
         let Some(simd) = SimdBackend::try_new() else { return };
         let scalar = ScalarBackend;
-        for &(m, k, n) in SIZES {
+        for (m, k, n) in sizes() {
             // Embed operands in wider slabs to exercise real strides.
             let (a_stride, b_stride, o_stride) = (k + 3, n + 5, n + 2);
             let a = fill(m.max(1) * a_stride, 4);
@@ -1175,11 +1646,67 @@ mod tests {
         }
     }
 
+    /// Runs one transposed decode kernel variant directly, bypassing the
+    /// runtime AVX-512 selection.
+    #[allow(clippy::too_many_arguments)]
+    fn gemv_t_variant(
+        avx512: bool,
+        a: &[f32],
+        a_stride: usize,
+        b: &[f32],
+        b_stride: usize,
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        assert!(a.len() >= (m - 1) * a_stride + k && b.len() >= (n - 1) * b_stride + k);
+        assert!(out.len() >= m * n);
+        let (a, b, o) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        // SAFETY: the caller checked the host features; bounds asserted
+        // above.
+        unsafe {
+            match (avx512, m) {
+                (false, 1) => gemv_t_avx2::<1>(a, a_stride, b, b_stride, 0.5, o, k, n),
+                (false, 2) => gemv_t_avx2::<2>(a, a_stride, b, b_stride, 0.5, o, k, n),
+                (false, _) => gemv_t_avx2::<3>(a, a_stride, b, b_stride, 0.5, o, k, n),
+                (true, 1) => gemv_t_avx512::<1>(a, a_stride, b, b_stride, 0.5, o, k, n),
+                (true, 2) => gemv_t_avx512::<2>(a, a_stride, b, b_stride, 0.5, o, k, n),
+                (true, _) => gemv_t_avx512::<3>(a, a_stride, b, b_stride, 0.5, o, k, n),
+            }
+        }
+    }
+
+    #[test]
+    fn decode_kernel_variants_bit_identical_to_scalar() {
+        if SimdBackend::try_new().is_none() {
+            return;
+        }
+        // An AVX-512 host still checks the AVX2 kernel it never selects.
+        let mut variants = vec![false];
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            variants.push(true);
+        }
+        let scalar = ScalarBackend;
+        for (m, k, n) in sizes().filter(|&(m, _, _)| m < 4) {
+            let (a_stride, b_stride) = (k + 3, k + 1);
+            let a = fill(m * a_stride, 31);
+            let b = fill(n * b_stride, 32);
+            let mut want = vec![0.0f32; m * n];
+            scalar.scaled_dot_t(&a, a_stride, &b, b_stride, 0.5, &mut want, m, k, n);
+            for &avx512 in &variants {
+                let mut got = vec![9.0f32; m * n];
+                gemv_t_variant(avx512, &a, a_stride, &b, b_stride, &mut got, m, k, n);
+                assert_eq!(got, want, "gemv_t avx512={avx512} {m}x{k}x{n}");
+            }
+        }
+    }
+
     #[test]
     fn simd_f16_and_i8_matmul_bit_identical_to_scalar() {
         let Some(simd) = SimdBackend::try_new() else { return };
         let scalar = ScalarBackend;
-        for &(m, k, n) in SIZES {
+        for (m, k, n) in sizes() {
             let a16: Vec<F16> = fill(m * k, 8).into_iter().map(F16::from_f32).collect();
             let b16: Vec<F16> = fill(k * n, 9).into_iter().map(F16::from_f32).collect();
             let mut want = vec![0.0f32; m * n];

@@ -70,8 +70,11 @@ BENCH:
     exits non-zero when any benchmark runs more than TOL times slower
     than that baseline, marking every row `ok (within TOLx)` or
     `REGRESSION` (the CI perf-regression guard,
-    scripts/bench_compare.sh). Since PR 8 the kernel section also covers
-    the scalar-backend, f16, int8, and fused-attention paths;
+    scripts/bench_compare.sh); on the SIMD backend --check also fails
+    when a decode-shape entry (kernel/gemv_t_1x512x32000,
+    kernel/gemv_1x512x256) is not faster than its scalar-backend twin
+    from the same run. The kernel section also covers the
+    scalar-backend, f16, int8, and fused-attention paths;
     --calibrate instead times the real kernels and fits the measured
     cost model (mtp_kernels::CalibratedCostModel) at the Siracusa clock.
 
@@ -635,6 +638,7 @@ fn bench_cmd(args: &[String]) -> CliResult {
                 flag_value(args, "--check").ok_or("--check requires a tolerance value")?.parse()?;
             print!("{}", comparison.render_checked(tolerance));
             comparison.check(tolerance)?;
+            print!("{}", report.check_decode_twins(mtp_tensor::active_kind())?);
             println!("perf check passed (worst slowdown {:.2}x)", comparison.worst_slowdown());
         } else {
             print!("{}", comparison.render());

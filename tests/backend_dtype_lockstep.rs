@@ -262,6 +262,30 @@ proptest! {
     }
 }
 
+/// Decode-shape (`m = 1`) products take no workspace scratch at all: a
+/// steady-state LM-head `matmul_t_into` and a per-chip `matmul_into`
+/// leave the thread's acquisition counter where it was, so no k·n pack
+/// buffer is taken per token or left in the pool.
+#[test]
+fn decode_shapes_take_no_workspace_scratch() {
+    let x = tensor_with_zeros(1, 512, 4);
+    let table = tensor_with_zeros(4096, 512, 5);
+    let w = tensor_with_zeros(512, 256, 6);
+    let (mut logits, mut h) = (Tensor::default(), Tensor::default());
+    reset_thread_workspace();
+    x.matmul_t_into(&table, &mut logits).unwrap();
+    x.matmul_into(&w, &mut h).unwrap();
+    let warm = thread_workspace_stats();
+    for _ in 0..4 {
+        x.matmul_t_into(&table, &mut logits).unwrap();
+        x.matmul_into(&w, &mut h).unwrap();
+    }
+    let steady = thread_workspace_stats();
+    assert_eq!(steady.acquisitions, warm.acquisitions, "m = 1 products acquired scratch");
+    assert_eq!(steady.pooled, 0, "a decode product left scratch in the thread's pool");
+    reset_thread_workspace();
+}
+
 /// The real dispatched kernels hold the steady-state property end to
 /// end: after one warm pass, repeated matmul/matmul_t calls on the same
 /// shapes draw every packing buffer from the pool.

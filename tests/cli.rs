@@ -163,6 +163,23 @@ fn invalid_flags_exit_nonzero_with_exact_messages() {
     }
 }
 
+/// A depth whose extrapolated counters leave `u64` is a typed exit-1
+/// error, not a wrapped "cycles/block" figure; the deepest in-range
+/// depths still print the exact per-block makespan.
+#[test]
+fn simulate_depth_overflow_exits_nonzero() {
+    for blocks in ["100000000000000000", "18446744073709551615"] {
+        let out = mtp(&["simulate", "--chips", "8", "--blocks", blocks]);
+        assert_eq!(out.status.code(), Some(1), "--blocks {blocks} must exit 1");
+        let err = stderr(&out);
+        assert!(err.starts_with("error: "), "{err}");
+        assert!(err.contains(&format!("{blocks} blocks overflow")), "{err}");
+    }
+    let out = mtp(&["simulate", "--chips", "8", "--blocks", "1000000000000"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains("200608 cycles/block"), "{}", stdout(&out));
+}
+
 /// `mtp bench --check` without a baseline is rejected (after the quick
 /// run — the flag is validated where the comparison would happen).
 #[test]
