@@ -610,55 +610,39 @@ impl CompiledSchedule {
         ))
     }
 
-    /// Runs the periodic engine's warmup once for this template on a
-    /// machine of `chip`s and captures the proven steady state
-    /// ([`mtp_sim::Machine::warmup`]); [`CompiledSchedule::simulate_from`]
-    /// then answers any depth on the same `(template, chip)` pair in O(1).
-    ///
-    /// This is the cross-depth half of the sweep engine's reuse story:
-    /// d96 and d192 scenarios share one compiled template *and* — per
-    /// link-bandwidth setting — one warmup trajectory, so each extra
-    /// depth variant costs one extrapolation instead of a re-simulated
-    /// warmup.
+    /// Derives this template's steady state on a machine of `chip`s once
+    /// ([`mtp_sim::SymbolicMakespan::derive`]);
+    /// [`CompiledSchedule::simulate_from`] then answers any depth on the
+    /// same `(template, chip)` pair with zero simulation.
     ///
     /// # Errors
     ///
-    /// Propagates [`mtp_sim::SimError::ProgramCountMismatch`] only;
-    /// template problems surface from the fallback inside
-    /// [`CompiledSchedule::simulate_from`].
+    /// Propagates [`mtp_sim::SimError::ProgramCountMismatch`] only; an
+    /// unprovable steady state is a non-converged checkpoint.
     pub fn warmup(&self, chip: &ChipSpec) -> Result<mtp_sim::WarmupCheckpoint> {
         let machine = Machine::homogeneous(*chip, self.n_chips);
-        Ok(machine.warmup(&self.template)?)
+        Ok(mtp_sim::WarmupCheckpoint(mtp_sim::SymbolicMakespan::derive(&machine, &self.template)?))
     }
 
-    /// [`CompiledSchedule::simulate`], resuming from a checkpoint taken
-    /// by [`CompiledSchedule::warmup`] on the **same chip spec** —
-    /// bit-identical results, with the warmup segments skipped whenever
-    /// the checkpoint applies (and an exact fallback whenever it does
-    /// not).
+    /// [`CompiledSchedule::simulate`] from a checkpoint taken by
+    /// [`CompiledSchedule::warmup`] on the **same chip spec**: a converged
+    /// checkpoint answers through [`CompiledSchedule::simulate_symbolic`],
+    /// any other through [`CompiledSchedule::simulate`] — bit-identical
+    /// either way.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`CompiledSchedule::simulate`].
+    /// Same conditions as the method it forwards to.
     pub fn simulate_from(
         &self,
         chip: &ChipSpec,
         n_blocks: usize,
         ckpt: &mtp_sim::WarmupCheckpoint,
     ) -> Result<crate::SystemReport> {
-        if n_blocks == 0 {
-            return Err(CoreError::InvalidConfig("n_blocks must be at least 1".into()));
+        match &ckpt.0 {
+            Some(model) => self.simulate_symbolic(chip, model, n_blocks),
+            None => self.simulate(chip, n_blocks),
         }
-        let machine = Machine::homogeneous(*chip, self.n_chips);
-        let stats = machine.run_periodic_from(&self.template, n_blocks, ckpt)?;
-        Ok(crate::report::from_stats(
-            chip,
-            self.n_chips,
-            self.mode,
-            n_blocks,
-            self.residency,
-            stats,
-        ))
     }
 
     /// Simulates `n_blocks` blocks each serving a uniform batch of
@@ -696,26 +680,9 @@ impl CompiledSchedule {
         Ok(crate::report::from_stats(chip, self.n_chips, self.mode, total, self.residency, stats))
     }
 
-    /// Solves this template's steady state symbolically on a machine of
-    /// `chip`s ([`mtp_sim::SymbolicMakespan::derive`]): one warmup, then
-    /// **every** depth answers in closed form with zero simulation —
-    /// the design-space advisor's scoring primitive.
-    ///
-    /// Returns `Ok(None)` when the fixed point is not provable (aperiodic
-    /// template, contention-bearing link regime, faults); callers fall
-    /// back to [`CompiledSchedule::simulate`], which is exact either way.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`mtp_sim::SimError::ProgramCountMismatch`] only.
-    pub fn symbolic(&self, chip: &ChipSpec) -> Result<Option<mtp_sim::SymbolicMakespan>> {
-        let machine = Machine::homogeneous(*chip, self.n_chips);
-        Ok(mtp_sim::SymbolicMakespan::derive(&machine, &self.template)?)
-    }
-
     /// [`CompiledSchedule::simulate`] answered from a symbolic model
-    /// taken by [`CompiledSchedule::symbolic`] on the **same chip spec**
-    /// — bit-identical [`crate::SystemReport`]s with zero simulation.
+    /// derived for this template on the **same chip spec** — bit-identical
+    /// [`crate::SystemReport`]s with zero simulation.
     ///
     /// # Errors
     ///
@@ -1002,17 +969,31 @@ mod tests {
         let chip = ChipSpec::siracusa();
         let compiled =
             CompiledSchedule::compile(&cfg, 4, &chip, None, InferenceMode::Autoregressive).unwrap();
-        let model = compiled.symbolic(&chip).unwrap().expect("schedule templates are periodic");
+        let ckpt = compiled.warmup(&chip).unwrap();
+        assert_eq!(ckpt.warmup_segments(), ckpt.0.as_ref().map(|m| m.warm_blocks()));
+        let model = ckpt.0.as_ref().expect("schedule templates are periodic");
         for n_blocks in [1usize, 3, 12, 96, 1000] {
-            let sym = compiled.simulate_symbolic(&chip, &model, n_blocks).unwrap();
+            let sym = compiled.simulate_symbolic(&chip, model, n_blocks).unwrap();
             let sim = compiled.simulate(&chip, n_blocks).unwrap();
             assert_eq!(sym.stats, sim.stats, "n_blocks={n_blocks}");
             assert_eq!(sym.n_blocks, sim.n_blocks);
+            assert_eq!(compiled.simulate_from(&chip, n_blocks, &ckpt).unwrap().stats, sim.stats);
         }
-        assert!(compiled.simulate_symbolic(&chip, &model, 0).is_err());
+        assert!(compiled.simulate_symbolic(&chip, model, 0).is_err());
         let other =
             CompiledSchedule::compile(&cfg, 2, &chip, None, InferenceMode::Autoregressive).unwrap();
-        assert!(other.simulate_symbolic(&chip, &model, 8).is_err(), "chip-count mismatch rejected");
+        assert!(other.simulate_symbolic(&chip, model, 8).is_err(), "chip-count mismatch rejected");
+        // A contention-bearing link never converges; resuming from that
+        // checkpoint is the cold simulation.
+        let lossy = ChipSpec {
+            link_regime: mtp_sim::LinkRegime::Lossy { drop_per_mille: 100, nack_cycles: 500 },
+            ..chip
+        };
+        let cold = compiled.warmup(&lossy).unwrap();
+        assert!(!cold.converged());
+        assert_eq!(cold.warmup_segments(), None);
+        let resumed = compiled.simulate_from(&lossy, 12, &cold).unwrap();
+        assert_eq!(resumed.stats, compiled.simulate(&lossy, 12).unwrap().stats);
     }
 
     #[test]

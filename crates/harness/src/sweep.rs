@@ -43,7 +43,7 @@ use mtp_core::{
 use mtp_kernels::CalibratedCostModel;
 use mtp_link::Topology;
 use mtp_model::{InferenceMode, TransformerConfig};
-use mtp_sim::{ChipSpec, FaultPlan, LinkRegime};
+use mtp_sim::{ChipSpec, FaultPlan, LinkRegime, Machine, SymbolicMakespan, FULL_RUN_THRESHOLD};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -1513,18 +1513,17 @@ impl SweepEngine {
 
         // Depth variants of one template at one (bandwidth, regime)
         // setting differ only in their block count, so they can share a
-        // single warmup trajectory: the first worker to reach the group
-        // runs `CompiledSchedule::warmup` once, and every member resumes
-        // from the proven fixed point in O(1)
-        // (`CompiledSchedule::simulate_from`, bit-identical by the
-        // periodic engine's resume contract). A warm slot is only
-        // allocated for groups with at least two distinct depths — a
-        // lone depth gains nothing from checkpointing — and only where
-        // the periodic engine could extrapolate at all (more than the
-        // full-run threshold of 4 blocks, contention-free link regime,
-        // no fault plan — faulted runs take the exact full path — and
-        // the analytic cost model, so a calibrated chip never resumes
-        // from an analytic checkpoint).
+        // single steady-state proof: the first worker to reach the group
+        // derives the template's `SymbolicMakespan` once, and every
+        // member evaluates it with zero simulation
+        // (`CompiledSchedule::simulate_symbolic`, bit-identical to
+        // `simulate`). A warm slot is only allocated for groups with at
+        // least two distinct depths — a lone depth gains nothing from
+        // sharing — and only where the periodic engine could extrapolate
+        // at all (more than `FULL_RUN_THRESHOLD` blocks, contention-free
+        // link regime, no fault plan — faulted runs take the exact full
+        // path — and the analytic cost model, so a calibrated chip never
+        // reads an analytic model).
         let mut warm_groups: HashMap<(usize, u32, LinkRegime), usize> = HashMap::new();
         for &(slot, bw, _n_blocks, regime, faults, _policy, cost) in sims.keys() {
             if faults.is_empty() && cost == CostSourceKind::Analytic {
@@ -1540,7 +1539,7 @@ impl SweepEngine {
                     let key = (slot, s.link_bw_pct, s.link_regime);
                     let shared = warm_groups.get(&key).copied().unwrap_or(0) >= 2;
                     if shared
-                        && s.n_blocks() > 4
+                        && s.n_blocks() > FULL_RUN_THRESHOLD
                         && s.link_regime.contention_free()
                         && s.faults.is_empty()
                         && s.cost_source == CostSourceKind::Analytic
@@ -1553,10 +1552,18 @@ impl SweepEngine {
                 })
             })
             .collect();
-        let warm_slots: Vec<OnceLock<Option<mtp_sim::WarmupCheckpoint>>> =
+        let warm_slots: Vec<OnceLock<Option<SymbolicMakespan>>> =
             (0..warms.len()).map(|_| OnceLock::new()).collect();
         drop(warms);
         drop(sims);
+        let warm_model = |w: usize, compiled: &CompiledSchedule, chip: ChipSpec| {
+            warm_slots[w]
+                .get_or_init(|| {
+                    let machine = Machine::homogeneous(chip, compiled.n_chips());
+                    SymbolicMakespan::derive(&machine, compiled.template()).ok().flatten()
+                })
+                .as_ref()
+        };
 
         // Phase 3: simulate unique points in parallel. Workers claim
         // indices from an atomic counter and write into pre-assigned
@@ -1581,11 +1588,10 @@ impl SweepEngine {
                             Some(compiled) => {
                                 let chip = scenario.chip();
                                 // A group of depth variants shares one
-                                // warmup; checkpoint failures fall back
-                                // to the cold path inside
-                                // `simulate_from` (exact either way).
-                                // Faulted scenarios never join a warm
-                                // group and route through the exact
+                                // steady-state proof; where none holds,
+                                // `simulate` runs cold (exact either
+                                // way). Faulted scenarios never join a
+                                // warm group and route through the exact
                                 // faulted path (a fail-stop under the
                                 // abort policy becomes this scenario's
                                 // typed skip reason).
@@ -1597,21 +1603,12 @@ impl SweepEngine {
                                         scenario.fail_policy,
                                     )
                                 } else {
-                                    match warm_of[i] {
-                                        Some(w) => {
-                                            let ckpt = warm_slots[w]
-                                                .get_or_init(|| compiled.warmup(&chip).ok());
-                                            match ckpt {
-                                                Some(ckpt) => compiled.simulate_from(
-                                                    &chip,
-                                                    scenario.n_blocks(),
-                                                    ckpt,
-                                                ),
-                                                None => {
-                                                    compiled.simulate(&chip, scenario.n_blocks())
-                                                }
-                                            }
-                                        }
+                                    match warm_of[i].and_then(|w| warm_model(w, compiled, chip)) {
+                                        Some(m) => compiled.simulate_symbolic(
+                                            &chip,
+                                            m,
+                                            scenario.n_blocks(),
+                                        ),
                                         None => compiled.simulate(&chip, scenario.n_blocks()),
                                     }
                                 };

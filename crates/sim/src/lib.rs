@@ -56,8 +56,8 @@ pub use exec::Machine;
 pub use fault::{FaultEvent, FaultPlan, DEFAULT_SEEDED_HORIZON};
 pub use gantt::{Trace, TraceEvent, TraceKind};
 pub use memory::{MemPath, MemorySpec};
-pub use periodic::WarmupCheckpoint;
+pub use periodic::FULL_RUN_THRESHOLD;
 pub use program::{ChipId, DmaTag, Instr, MsgId, Program};
 pub use sink::{MakespanOnly, TraceCollector, TraceSink};
-pub use symbolic::{SymbolicMakespan, SymbolicPlane};
+pub use symbolic::{SymbolicMakespan, SymbolicPlane, WarmupCheckpoint};
 pub use trace::{Breakdown, ChipStats, RunStats};

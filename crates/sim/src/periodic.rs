@@ -10,17 +10,18 @@
 //! is a `max` of state components plus a constant, so advancing the whole
 //! state by a constant advances every future event by the same constant.
 //!
-//! [`Machine::run_periodic`] therefore runs the template segment by
-//! segment, carrying the machine state across boundaries, until one
-//! segment advances **every active state component by the same delta**
-//! (the *uniform-delta fixed point*). From that point on, each further
-//! block replays the last segment shifted by the delta, exactly — so the
-//! remaining `n_blocks - k` blocks reduce to one multiply-add per
-//! counter. Detection is an exact fixed-point test on executor state, not
-//! a heuristic; whenever any proof obligation fails, the engine falls
-//! back to full simulation. See `DESIGN.md` §9 for the soundness
-//! argument, and `tests/periodic_lockstep.rs` for the exact-equality
-//! lockstep suites.
+//! One warmup loop (in [`crate::SymbolicMakespan`]) therefore runs the
+//! template segment by segment, carrying the machine state across
+//! boundaries, until one segment advances **every active state component
+//! by the same delta** (the *uniform-delta fixed point*). From that point
+//! on, each further block replays the last segment shifted by the delta,
+//! exactly — so the remaining `n_blocks - k` blocks reduce to one
+//! multiply-add per counter. [`Machine::run_periodic`] runs that loop for
+//! at most `n_blocks` segments and answers from the proven model.
+//! Detection is an exact fixed-point test on executor state, not a
+//! heuristic; whenever any proof obligation fails, the engine falls back
+//! to full simulation. See `DESIGN.md` §9 for the soundness argument, and
+//! `tests/periodic_lockstep.rs` for the exact-equality lockstep suites.
 //!
 //! Proof obligations checked per segment (any failure → full simulation):
 //!
@@ -37,6 +38,7 @@
 //!    segment-start minimum clock (an *inactive* component: it is never
 //!    selected by any `max` again, so it behaves as minus infinity).
 
+use crate::symbolic::{SymbolicMakespan, Warmup};
 use crate::{trace::ChipStats, Program, Result, RunStats, SimError};
 use crate::{Instr, Machine, MsgId};
 
@@ -101,9 +103,10 @@ pub(crate) struct SegmentRun {
     pub(crate) clean: bool,
 }
 
-/// `n_blocks` at or below this run as one plain simulation: the warmup
-/// needs at least two segments before extrapolation can save anything.
-const FULL_RUN_THRESHOLD: usize = 4;
+/// Block counts at or below this run as one plain simulation in
+/// [`Machine::run_periodic`]: the warmup needs at least two segments
+/// before extrapolation can save anything.
+pub const FULL_RUN_THRESHOLD: usize = 4;
 
 /// Warmup bound: if the state has not reached its uniform-delta fixed
 /// point after this many segments, the workload is treated as aperiodic
@@ -130,138 +133,6 @@ pub(crate) fn uniform_delta(prev: &MachineState, next: &MachineState) -> Option<
     }
     // A fully inactive machine (empty template) repeats with delta 0.
     Some(delta.unwrap_or(0))
-}
-
-/// The closed form every steady-state path ends in: per chip, the warmup
-/// `totals` (`warm` blocks) plus `n_blocks - warm` more copies of the
-/// steady segment's additive counters `seg`, with the clock advanced by
-/// its per-block step `t_now - t_prev` each time, and `distinct_syncs`
-/// sync phases per block. Peak queue occupancy is a maximum, not a sum:
-/// the steady-state segment repeats the same occupancy trajectory, so
-/// its peak carries over unscaled.
-///
-/// # Errors
-///
-/// [`SimError::Overflow`] when a counter of the `n_blocks`-deep run
-/// leaves `u64` (or the sync-phase count leaves `usize`) — no product or
-/// sum is ever wrapped.
-pub(crate) fn extrapolate(
-    totals: &[ChipStats],
-    seg: &[ChipStats],
-    t_now: &[u64],
-    t_prev: &[u64],
-    distinct_syncs: usize,
-    warm: usize,
-    n_blocks: usize,
-) -> Result<RunStats> {
-    let reps = u128::from((n_blocks - warm) as u64);
-    // Widened to u128 so every counter is exact; one test of the high
-    // halves at the end keeps the loop branch-free.
-    let mut high = 0u128;
-    let mut per_chip = Vec::with_capacity(totals.len());
-    for ((total, seg), (&now, &prev)) in totals.iter().zip(seg).zip(t_now.iter().zip(t_prev)) {
-        let mut grow = |base: u64, per: u64| {
-            let v = u128::from(base) + u128::from(per) * reps;
-            high |= v >> 64;
-            v as u64
-        };
-        per_chip.push(ChipStats {
-            compute_cycles: grow(total.compute_cycles, seg.compute_cycles),
-            dma_l3_l2_exposed_cycles: grow(
-                total.dma_l3_l2_exposed_cycles,
-                seg.dma_l3_l2_exposed_cycles,
-            ),
-            dma_l2_l1_exposed_cycles: grow(
-                total.dma_l2_l1_exposed_cycles,
-                seg.dma_l2_l1_exposed_cycles,
-            ),
-            c2c_exposed_cycles: grow(total.c2c_exposed_cycles, seg.c2c_exposed_cycles),
-            dma_l3_l2_bytes: grow(total.dma_l3_l2_bytes, seg.dma_l3_l2_bytes),
-            dma_l2_l1_bytes: grow(total.dma_l2_l1_bytes, seg.dma_l2_l1_bytes),
-            c2c_bytes_sent: grow(total.c2c_bytes_sent, seg.c2c_bytes_sent),
-            sync_marks: grow(total.sync_marks, seg.sync_marks),
-            // Inactive chips (step 0) stay parked at their clock; active
-            // chips advance by the step per block.
-            finish_cycles: grow(now, now - prev),
-            c2c_queue_cycles: grow(total.c2c_queue_cycles, seg.c2c_queue_cycles),
-            c2c_peak_queue_bytes: total.c2c_peak_queue_bytes.max(seg.c2c_peak_queue_bytes),
-            c2c_drops: grow(total.c2c_drops, seg.c2c_drops),
-            c2c_retransmits: grow(total.c2c_retransmits, seg.c2c_retransmits),
-            c2c_gave_up: grow(total.c2c_gave_up, seg.c2c_gave_up),
-            fault_stall_cycles: grow(total.fault_stall_cycles, seg.fault_stall_cycles),
-            fault_slow_cycles: grow(total.fault_slow_cycles, seg.fault_slow_cycles),
-            fault_link_cycles: grow(total.fault_link_cycles, seg.fault_link_cycles),
-            fault_transfers_affected: grow(
-                total.fault_transfers_affected,
-                seg.fault_transfers_affected,
-            ),
-            fault_downtime_cycles: grow(total.fault_downtime_cycles, seg.fault_downtime_cycles),
-        });
-    }
-    let syncs = distinct_syncs.checked_mul(n_blocks).filter(|_| high == 0);
-    Ok(RunStats::new(per_chip, syncs.ok_or(SimError::Overflow { n_blocks })?))
-}
-
-fn add_assign(into: &mut ChipStats, from: &ChipStats) {
-    into.accumulate(from);
-}
-
-/// A proven uniform-delta fixed point of one `(machine, template)` pair,
-/// reusable across every block count simulated on that pair.
-///
-/// [`Machine::warmup`] runs the warmup segments once and captures the
-/// steady state; [`Machine::run_periodic_from`] then answers any depth in
-/// O(1) from the checkpoint instead of re-simulating the warmup. The
-/// sweep engine uses this to make depth variants (d96, d192, ...) of one
-/// schedule share a single warmup trajectory per link bandwidth.
-///
-/// A checkpoint is only meaningful for the exact machine and template it
-/// was taken from — resuming with a different pair is a contract
-/// violation (the result would be deterministic nonsense). The resume
-/// path re-checks every cheap precondition (chip count, block count,
-/// contention-free regime) and falls back to [`Machine::run_periodic`]
-/// whenever the checkpoint does not apply, so results are always exact.
-#[derive(Debug, Clone)]
-pub struct WarmupCheckpoint {
-    n_chips: usize,
-    fixed: Option<FixedPoint>,
-}
-
-/// The captured steady state: everything the extrapolation arm of
-/// [`Machine::run_periodic`] reads after its fixed-point test passes.
-#[derive(Debug, Clone)]
-struct FixedPoint {
-    /// Warmup segments simulated before the fixed point held.
-    segments: usize,
-    /// Per-chip counters accumulated over those segments.
-    totals: Vec<ChipStats>,
-    /// The steady-state segment's own counters (the per-block delta).
-    last: Vec<ChipStats>,
-    /// Chip clocks at the fixed-point boundary...
-    t_now: Vec<u64>,
-    /// ...and one segment earlier (their difference is the per-block
-    /// clock advance of each chip; inactive chips advance by zero).
-    t_prev: Vec<u64>,
-    /// Distinct sync ids per segment.
-    distinct_syncs: usize,
-}
-
-impl WarmupCheckpoint {
-    /// `true` when the warmup proved a fixed point; a non-converged
-    /// checkpoint makes [`Machine::run_periodic_from`] fall back to
-    /// [`Machine::run_periodic`] (aperiodic template, contention-bearing
-    /// link regime, or a template error).
-    #[must_use]
-    pub fn converged(&self) -> bool {
-        self.fixed.is_some()
-    }
-
-    /// Number of warmup segments the proof consumed (`None` when not
-    /// converged) — the per-depth simulation cost the checkpoint saves.
-    #[must_use]
-    pub fn warmup_segments(&self) -> Option<usize> {
-        self.fixed.as_ref().map(|f| f.segments)
-    }
 }
 
 /// Builds the concatenated programs the periodic contract is defined
@@ -364,235 +235,19 @@ impl Machine {
         if n_blocks <= FULL_RUN_THRESHOLD {
             return self.run(&concat_shifted(template, n_blocks));
         }
-        // Non-affine link timing voids the shift-invariance proof: a
-        // finite ingress buffer couples segments through occupancy carried
-        // across boundaries, and the lossy drop pattern depends on the
-        // per-block message ids the segment re-uses. Only regimes that
-        // provably never depart from affine timing (affine itself, or a
-        // queue that can never fill) may extrapolate; everything else is
-        // simulated in full — same result, only slower (`DESIGN.md` §11).
-        if self.chips().iter().any(|c| !c.link_regime.contention_free()) {
-            return self.run(&concat_shifted(template, n_blocks));
+        // The warmup never runs more segments than there are blocks, so a
+        // proven fixed point always lies inside the run.
+        match SymbolicMakespan::warm_up(self, template, n_blocks.min(MAX_WARMUP_SEGMENTS)) {
+            Warmup::Proven(model) => model.try_eval(n_blocks),
+            // Every block simulated segment by segment with all boundary
+            // obligations holding: the last snapshot is exact.
+            Warmup::Unproven(prefix) if prefix.len() == n_blocks => {
+                Ok(prefix[n_blocks - 1].stats(n_blocks))
+            }
+            // Not shift-invariant, aperiodic, or a malformed template:
+            // the full run is exact and reports the exact error.
+            Warmup::Unproven(_) => self.run(&concat_shifted(template, n_blocks)),
         }
-        // A non-empty fault plan likewise voids the proof: faults are
-        // pinned to absolute cycles, so segments are not shift-invariant.
-        // Faulted workloads always run the exact full simulation.
-        if !self.faults().is_empty() {
-            return self.run(&concat_shifted(template, n_blocks));
-        }
-        let n = self.len();
-        let mut carry = MachineState::zero(n);
-        let mut totals: Vec<ChipStats> = vec![ChipStats::default(); n];
-        let mut prev_send_issue: Option<Option<(u64, u64)>> = None;
-        for seg in 1..=n_blocks.min(MAX_WARMUP_SEGMENTS) {
-            let Ok(run) = self.run_segment(template, &carry) else {
-                // Malformed template: the full run reproduces the exact
-                // error the concatenated simulation would report.
-                return self.run(&concat_shifted(template, n_blocks));
-            };
-            if !run.clean {
-                return self.run(&concat_shifted(template, n_blocks));
-            }
-            // Send-order separation from the previous segment.
-            if let Some(prev) = prev_send_issue {
-                let separated = match (prev, run.send_issue) {
-                    (Some((_, prev_max)), Some((next_min, _))) => prev_max < next_min,
-                    _ => true,
-                };
-                if !separated {
-                    return self.run(&concat_shifted(template, n_blocks));
-                }
-            }
-            for (total, seg_stats) in totals.iter_mut().zip(&run.stats) {
-                add_assign(total, seg_stats);
-            }
-            if let Some(delta) = uniform_delta(&carry, &run.state) {
-                // Send-order separation must keep holding at every
-                // extrapolated boundary: the next segment's sends are this
-                // segment's shifted by delta.
-                let separated_forever = match run.send_issue {
-                    Some((min, max)) => max < min.saturating_add(delta),
-                    None => true,
-                };
-                if separated_forever {
-                    return extrapolate(
-                        &totals,
-                        &run.stats,
-                        &run.state.t,
-                        &carry.t,
-                        run.distinct_syncs,
-                        seg,
-                        n_blocks,
-                    );
-                }
-            }
-            if seg == n_blocks {
-                // Every block simulated segment by segment with all
-                // boundary obligations holding: the totals are exact.
-                let per_chip = totals
-                    .iter()
-                    .zip(&run.state.t)
-                    .map(|(total, &t)| {
-                        let mut chip = total.clone();
-                        chip.finish_cycles = t;
-                        chip
-                    })
-                    .collect();
-                return Ok(RunStats::new(per_chip, run.distinct_syncs * n_blocks));
-            }
-            prev_send_issue = Some(run.send_issue);
-            carry = run.state;
-        }
-        // No fixed point within the warmup bound: aperiodic workload.
-        self.run(&concat_shifted(template, n_blocks))
-    }
-
-    /// Runs the warmup phase of [`Machine::run_periodic`] once —
-    /// independent of any block count — and captures the proven
-    /// uniform-delta fixed point as a reusable [`WarmupCheckpoint`].
-    ///
-    /// The warmup loop is exactly `run_periodic`'s: segment-by-segment
-    /// execution with clean-boundary and send-order-separation checks,
-    /// stopping at the first segment whose state advance is a uniform
-    /// delta that also keeps future sends separated. Because that loop
-    /// never reads the block count, one checkpoint answers *every* depth:
-    /// [`Machine::run_periodic_from`] replays only the O(1) extrapolation
-    /// arm. Any proof failure (contention-bearing link regime, unclean
-    /// boundary, aperiodic state, segment error) yields a non-converged
-    /// checkpoint whose resume path falls back to the full engine.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::SimError::ProgramCountMismatch`] when `template` does not
-    /// provide one program per chip. All other template problems are
-    /// deferred: they surface from the fallback inside
-    /// [`Machine::run_periodic_from`], which reproduces the exact error
-    /// [`Machine::run_periodic`] would report.
-    pub fn warmup(&self, template: &[Program]) -> Result<WarmupCheckpoint> {
-        if template.len() != self.len() {
-            return Err(crate::SimError::ProgramCountMismatch {
-                chips: self.len(),
-                programs: template.len(),
-            });
-        }
-        let unconverged = || Ok(WarmupCheckpoint { n_chips: self.len(), fixed: None });
-        if self.chips().iter().any(|c| !c.link_regime.contention_free())
-            || !self.faults().is_empty()
-        {
-            return unconverged();
-        }
-        let n = self.len();
-        let mut carry = MachineState::zero(n);
-        let mut totals: Vec<ChipStats> = vec![ChipStats::default(); n];
-        let mut prev_send_issue: Option<Option<(u64, u64)>> = None;
-        for seg in 1..=MAX_WARMUP_SEGMENTS {
-            let Ok(run) = self.run_segment(template, &carry) else {
-                return unconverged();
-            };
-            if !run.clean {
-                return unconverged();
-            }
-            if let Some(prev) = prev_send_issue {
-                let separated = match (prev, run.send_issue) {
-                    (Some((_, prev_max)), Some((next_min, _))) => prev_max < next_min,
-                    _ => true,
-                };
-                if !separated {
-                    return unconverged();
-                }
-            }
-            for (total, seg_stats) in totals.iter_mut().zip(&run.stats) {
-                add_assign(total, seg_stats);
-            }
-            if let Some(delta) = uniform_delta(&carry, &run.state) {
-                let separated_forever = match run.send_issue {
-                    Some((min, max)) => max < min.saturating_add(delta),
-                    None => true,
-                };
-                if separated_forever {
-                    return Ok(WarmupCheckpoint {
-                        n_chips: n,
-                        fixed: Some(FixedPoint {
-                            segments: seg,
-                            totals,
-                            last: run.stats,
-                            t_now: run.state.t.clone(),
-                            t_prev: carry.t.clone(),
-                            distinct_syncs: run.distinct_syncs,
-                        }),
-                    });
-                }
-            }
-            prev_send_issue = Some(run.send_issue);
-            carry = run.state;
-        }
-        unconverged()
-    }
-
-    /// [`Machine::run_periodic`], resuming from a [`WarmupCheckpoint`]
-    /// taken by [`Machine::warmup`] on the **same machine and template**:
-    /// when the checkpoint applies, the answer is one multiply-add per
-    /// counter with zero simulation.
-    ///
-    /// Falls back to [`Machine::run_periodic`] — same result, only slower
-    /// — whenever the checkpoint cannot prove the extrapolation:
-    /// non-converged warmup, chip-count mismatch, `n_blocks` at or below
-    /// the full-run threshold, fewer blocks than warmup segments (the
-    /// engine would have finished exactly before reaching the fixed
-    /// point), or a contention-bearing link regime.
-    ///
-    /// ```
-    /// use mtp_sim::{ChipSpec, Instr, Machine, Program};
-    /// use mtp_kernels::Kernel;
-    ///
-    /// let machine = Machine::homogeneous(ChipSpec::siracusa(), 1);
-    /// let block = Program::from_instrs([Instr::compute(Kernel::gemv(64, 64))]);
-    /// let ckpt = machine.warmup(std::slice::from_ref(&block))?;
-    /// let warm = machine.run_periodic_from(std::slice::from_ref(&block), 192, &ckpt)?;
-    /// let cold = machine.run_periodic(std::slice::from_ref(&block), 192)?;
-    /// assert_eq!(warm, cold);
-    /// # Ok::<(), mtp_sim::SimError>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Machine::run_periodic`]; the extrapolation arm
-    /// itself is infallible.
-    pub fn run_periodic_from(
-        &self,
-        template: &[Program],
-        n_blocks: usize,
-        ckpt: &WarmupCheckpoint,
-    ) -> Result<RunStats> {
-        if template.len() != self.len() {
-            return Err(crate::SimError::ProgramCountMismatch {
-                chips: self.len(),
-                programs: template.len(),
-            });
-        }
-        let Some(fixed) = &ckpt.fixed else {
-            return self.run_periodic(template, n_blocks);
-        };
-        if ckpt.n_chips != self.len()
-            || n_blocks <= FULL_RUN_THRESHOLD
-            || n_blocks < fixed.segments
-            || self.chips().iter().any(|c| !c.link_regime.contention_free())
-            || !self.faults().is_empty()
-        {
-            return self.run_periodic(template, n_blocks);
-        }
-        // From here on this is `run_periodic`'s extrapolation arm
-        // verbatim, with the loop-carried values read from the
-        // checkpoint instead of recomputed.
-        extrapolate(
-            &fixed.totals,
-            &fixed.last,
-            &fixed.t_now,
-            &fixed.t_prev,
-            fixed.distinct_syncs,
-            fixed.segments,
-            n_blocks,
-        )
     }
 
     /// Executes `n_blocks` Transformer blocks each serving a uniform
@@ -699,9 +354,8 @@ mod tests {
         let per_block = m.run(&template).unwrap().makespan;
         // The deepest run whose clock still fits a u64, and one past it.
         let last = usize::try_from(u64::MAX / per_block).unwrap();
-        let ckpt = m.warmup(&template).unwrap();
-        for stats in [m.run_periodic(&template, last), m.run_periodic_from(&template, last, &ckpt)]
-        {
+        let model = SymbolicMakespan::derive(&m, &template).unwrap().unwrap();
+        for stats in [m.run_periodic(&template, last), model.try_eval(last)] {
             let stats = stats.unwrap();
             assert_eq!(stats.makespan, last as u64 * per_block);
             assert_eq!(stats.sync_phases, last);
@@ -709,7 +363,7 @@ mod tests {
         for n_blocks in [last + 1, usize::MAX] {
             let overflow = Err(SimError::Overflow { n_blocks });
             assert_eq!(m.run_periodic(&template, n_blocks), overflow);
-            assert_eq!(m.run_periodic_from(&template, n_blocks, &ckpt), overflow);
+            assert_eq!(model.try_eval(n_blocks), overflow);
         }
         assert_eq!(
             m.run_batched(&template, usize::MAX, 2),
@@ -748,10 +402,7 @@ mod tests {
         // A template that leaves a DMA in flight at the boundary can
         // never prove a clean boundary; the fallback must still be exact.
         let m = machine(1);
-        let template = [Program::from_instrs([
-            Instr::DmaAsync { path: MemPath::L3ToL2, bytes: 1 << 20, tag: DmaTag(0) },
-            Instr::compute(Kernel::Add { n: 64 }),
-        ])];
+        let template = never_clean_template();
         let n_blocks = 7;
         let fast = m.run_periodic(&template, n_blocks).unwrap();
         let full = m.run(&concat_shifted(&template, n_blocks)).unwrap();
@@ -879,8 +530,8 @@ mod tests {
     #[test]
     fn faulted_machine_falls_back_to_exact_full_simulation() {
         // A non-empty plan voids shift-invariance: the periodic answer
-        // must equal the concatenated full run, and warmup must refuse
-        // to converge.
+        // must equal the concatenated full run, and the warmup must
+        // refuse to prove a fixed point.
         let template = ping_pong_template();
         let plan = crate::FaultPlan::parse("stall:0:5000:2000+slow:1:0:20000:150").unwrap();
         let m = machine(2).with_faults(plan);
@@ -889,73 +540,74 @@ mod tests {
             let full = m.run(&concat_shifted(&template, n_blocks)).unwrap();
             assert_eq!(fast, full, "n_blocks={n_blocks}");
         }
-        let ckpt = m.warmup(&template).unwrap();
-        assert!(!ckpt.converged(), "faulted machines never extrapolate");
-        let warm = m.run_periodic_from(&template, 40, &ckpt).unwrap();
-        assert_eq!(warm, m.run_periodic(&template, 40).unwrap());
+        assert!(SymbolicMakespan::derive(&m, &template).unwrap().is_none());
     }
 
     #[test]
     fn warm_resume_matches_cold_periodic_across_depths() {
-        // One warmup checkpoint answers every depth bit-identically.
+        // One derived model answers every depth bit-identically.
         let m = machine(2);
         let template = ping_pong_template();
-        let ckpt = m.warmup(&template).unwrap();
-        assert!(ckpt.converged());
-        assert!(ckpt.warmup_segments().unwrap() <= MAX_WARMUP_SEGMENTS);
+        let model = SymbolicMakespan::derive(&m, &template).unwrap().unwrap();
+        assert!(model.warm_blocks() <= MAX_WARMUP_SEGMENTS);
         for n_blocks in [1usize, 3, 5, 9, 40, 96, 192, 10_000] {
-            let warm = m.run_periodic_from(&template, n_blocks, &ckpt).unwrap();
+            let warm = model.try_eval(n_blocks).unwrap();
             let cold = m.run_periodic(&template, n_blocks).unwrap();
             assert_eq!(warm, cold, "n_blocks={n_blocks}");
         }
+    }
+
+    /// The in-flight-DMA template: a boundary with DMA in flight never
+    /// proves clean.
+    fn never_clean_template() -> [Program; 1] {
+        [Program::from_instrs([
+            Instr::DmaAsync { path: MemPath::L3ToL2, bytes: 1 << 20, tag: DmaTag(0) },
+            Instr::compute(Kernel::Add { n: 64 }),
+        ])]
     }
 
     #[test]
     fn warmup_on_aperiodic_template_resumes_via_fallback() {
-        // The in-flight-DMA template never proves a clean boundary: the
-        // checkpoint is unconverged and the resume path must reproduce
-        // the full simulation exactly.
         let m = machine(1);
-        let template = [Program::from_instrs([
-            Instr::DmaAsync { path: MemPath::L3ToL2, bytes: 1 << 20, tag: DmaTag(0) },
-            Instr::compute(Kernel::Add { n: 64 }),
-        ])];
-        let ckpt = m.warmup(&template).unwrap();
-        assert!(!ckpt.converged());
-        assert_eq!(ckpt.warmup_segments(), None);
-        let warm = m.run_periodic_from(&template, 7, &ckpt).unwrap();
-        let cold = m.run_periodic(&template, 7).unwrap();
-        assert_eq!(warm, cold);
+        let template = never_clean_template();
+        assert!(SymbolicMakespan::derive(&m, &template).unwrap().is_none());
+        let full = m.run(&concat_shifted(&template, 40)).unwrap();
+        assert_eq!(m.run_periodic(&template, 40).unwrap(), full);
     }
 
     #[test]
     fn warmup_under_contention_regime_is_unconverged() {
-        let template = ping_pong_template();
-        let m = machine_with_regime(
+        let lossy = machine_with_regime(
             2,
             crate::LinkRegime::Lossy { drop_per_mille: 100, nack_cycles: 500 },
         );
-        let ckpt = m.warmup(&template).unwrap();
-        assert!(!ckpt.converged());
-        for n_blocks in [5usize, 40] {
-            let warm = m.run_periodic_from(&template, n_blocks, &ckpt).unwrap();
-            let cold = m.run_periodic(&template, n_blocks).unwrap();
-            assert_eq!(warm, cold, "n_blocks={n_blocks}");
-        }
+        assert!(SymbolicMakespan::derive(&lossy, &ping_pong_template()).unwrap().is_none());
     }
 
     #[test]
     fn warmup_program_count_mismatch_detected() {
-        let m = machine(2);
         assert!(matches!(
-            m.warmup(&[Program::new()]),
+            SymbolicMakespan::derive(&machine(2), &[Program::new()]),
             Err(crate::SimError::ProgramCountMismatch { chips: 2, programs: 1 })
         ));
-        let ckpt = m.warmup(&ping_pong_template()).unwrap();
-        assert!(matches!(
-            m.run_periodic_from(&[Program::new()], 10, &ckpt),
-            Err(crate::SimError::ProgramCountMismatch { chips: 2, programs: 1 })
-        ));
+    }
+
+    #[test]
+    fn warmup_limit_never_changes_the_answer() {
+        // Around the segment limit: the periodic answer equals the full
+        // run at every depth, and the model agrees wherever it proves.
+        let ping_pong = (machine(2), ping_pong_template().to_vec());
+        let never_clean = (machine(1), never_clean_template().to_vec());
+        for (m, template) in [ping_pong, never_clean] {
+            let model = SymbolicMakespan::derive(&m, &template).unwrap();
+            for n_blocks in 1..=MAX_WARMUP_SEGMENTS + 2 {
+                let full = m.run(&concat_shifted(&template, n_blocks)).unwrap();
+                assert_eq!(m.run_periodic(&template, n_blocks).unwrap(), full, "n={n_blocks}");
+                if let Some(model) = &model {
+                    assert_eq!(model.try_eval(n_blocks).unwrap(), full, "n={n_blocks}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Closed-form steady-state makespan: solve the proven uniform-delta
 //! recurrence symbolically instead of re-running it.
 //!
-//! [`crate::Machine::run_periodic`] proves that after a warmup of `k`
-//! segments the machine state repeats with a uniform per-block advance
-//! `delta`; from then on every counter is an affine function of the block
-//! count. [`SymbolicMakespan`] captures that proof **once** — including
-//! an exact per-prefix snapshot of every warmup boundary — and from it
-//! answers *any* block count with zero further simulation:
+//! The periodic engine's proof (`periodic` module docs) shows that after
+//! a warmup of `k` segments the machine state repeats with a uniform
+//! per-block advance `delta`; from then on every counter is an affine
+//! function of the block count. This module holds the one warmup loop
+//! that establishes the proof, and [`SymbolicMakespan`] captures it
+//! **once** — including an exact per-prefix snapshot of every warmup
+//! boundary — and from it answers *any* block count with zero further
+//! simulation:
 //!
 //! ```text
 //! makespan(n) = startup + (n - warm_blocks) * delta      for n >= warm_blocks
@@ -15,9 +17,8 @@
 //! where `startup` is the latest chip clock at the fixed-point boundary,
 //! `warm_blocks` is the number of warmup segments the proof consumed, and
 //! `delta` is the per-block clock advance. Block counts inside the warmup
-//! window read the stored prefix snapshot, which is exact for the same
-//! reason `run_periodic`'s segment-by-segment arm is: every prefix
-//! boundary satisfied the clean-boundary and send-order-separation
+//! window read the stored prefix snapshot, which is exact because every
+//! prefix boundary satisfied the clean-boundary and send-order-separation
 //! obligations, so the concatenated simulation would have produced the
 //! identical state (`DESIGN.md` §9 and §15).
 //!
@@ -32,14 +33,14 @@
 //! piecewise function of bandwidth whose knee is the compute-bound /
 //! link-bound crossover.
 
-use crate::periodic::{extrapolate, uniform_delta, MachineState, MAX_WARMUP_SEGMENTS};
+use crate::periodic::{uniform_delta, MachineState, MAX_WARMUP_SEGMENTS};
 use crate::trace::ChipStats;
 use crate::{ChipSpec, Instr, LinkRegime, Machine, Program, Result, RunStats, SimError};
 
 /// One exact warmup-boundary snapshot: everything needed to answer a
 /// block count that falls inside the warmup window.
 #[derive(Debug, Clone)]
-struct Prefix {
+pub(crate) struct Prefix {
     /// Per-chip clocks at this boundary (`finish_cycles` of a run that
     /// stops here).
     t: Vec<u64>,
@@ -51,16 +52,41 @@ struct Prefix {
     distinct_syncs: usize,
 }
 
+impl Prefix {
+    /// Exact [`RunStats`] of the `n_blocks`-deep run that ends at this
+    /// boundary.
+    pub(crate) fn stats(&self, n_blocks: usize) -> RunStats {
+        let per_chip = self
+            .totals
+            .iter()
+            .zip(&self.t)
+            .map(|(total, &t)| ChipStats { finish_cycles: t, ..total.clone() })
+            .collect();
+        RunStats::new(per_chip, self.distinct_syncs * n_blocks)
+    }
+}
+
+/// What the warmup loop established on one `(machine, template)` pair.
+pub(crate) enum Warmup {
+    /// The uniform-delta fixed point holds: every depth answers from the
+    /// model.
+    Proven(SymbolicMakespan),
+    /// No fixed point within the segment limit. Holds the boundary
+    /// snapshots that passed every check before the loop stopped (empty
+    /// when the machine's timing is not shift-invariant).
+    Unproven(Vec<Prefix>),
+}
+
 /// A symbolically solved `(machine, template)` steady state: exact
 /// [`RunStats`] for **every** block count from one warmup trajectory.
 ///
-/// Where [`crate::WarmupCheckpoint`] still re-enters the periodic engine
-/// (and re-simulates warmup-window depths), `SymbolicMakespan` is a pure
-/// data structure: [`SymbolicMakespan::eval`] is a table lookup plus one
-/// multiply-add per counter, and [`SymbolicMakespan::makespan`] is the
-/// closed form `startup + (n - warm_blocks) * delta`. Exactness against
-/// [`crate::Machine::run_periodic`] and the full concatenated simulation
-/// is locked by `tests/symbolic_lockstep.rs`.
+/// `SymbolicMakespan` is a pure data structure:
+/// [`SymbolicMakespan::eval`] is a table lookup plus one multiply-add per
+/// counter, and [`SymbolicMakespan::makespan`] is the closed form
+/// `startup + (n - warm_blocks) * delta`. Every steady-state answer of
+/// the simulator — [`crate::Machine::run_periodic`] included — is
+/// produced by [`SymbolicMakespan::try_eval`]. Exactness against the full
+/// concatenated simulation is locked by `tests/symbolic_lockstep.rs`.
 ///
 /// ```
 /// use mtp_sim::{ChipSpec, Instr, Machine, Program, SymbolicMakespan};
@@ -82,29 +108,26 @@ pub struct SymbolicMakespan {
     prefix: Vec<Prefix>,
     /// The steady-state segment's own counters (the per-block increment).
     last: Vec<ChipStats>,
-    /// Chip clocks at the fixed-point boundary...
-    t_now: Vec<u64>,
-    /// ...and one segment earlier.
+    /// Chip clocks one segment before the fixed-point boundary (their
+    /// difference to the boundary clocks is each chip's per-block step;
+    /// inactive chips step by zero).
     t_prev: Vec<u64>,
     /// Per-block advance of the latest chip clock — the slope of the
     /// makespan in blocks. Equals the proven uniform state delta whenever
     /// any chip is active (inactive chips never hold the maximum clock).
     delta: u64,
-    /// Distinct sync ids per steady-state segment.
-    distinct_syncs: usize,
 }
 
 impl SymbolicMakespan {
-    /// Runs the periodic warmup once on `(machine, template)` and, when
-    /// the uniform-delta fixed point is proven, captures it together with
-    /// an exact snapshot of every warmup boundary.
+    /// Runs the warmup once on `(machine, template)` and, when the
+    /// uniform-delta fixed point is proven within
+    /// `MAX_WARMUP_SEGMENTS` (24) segments, captures it together with an
+    /// exact snapshot of every warmup boundary.
     ///
     /// Returns `Ok(None)` whenever the proof does not go through — a
     /// contention-bearing link regime, a non-empty fault plan, an unclean
     /// or unseparated boundary, an aperiodic template, or a template
-    /// error — mirroring the conditions under which
-    /// [`crate::Machine::run_periodic`] falls back to full simulation.
-    /// Callers then simulate exactly instead.
+    /// error. Callers then simulate exactly instead.
     ///
     /// # Errors
     ///
@@ -113,39 +136,54 @@ impl SymbolicMakespan {
     /// `Ok(None)` so the caller's exact fallback reports it.
     pub fn derive(machine: &Machine, template: &[Program]) -> Result<Option<Self>> {
         if template.len() != machine.len() {
-            return Err(crate::SimError::ProgramCountMismatch {
+            return Err(SimError::ProgramCountMismatch {
                 chips: machine.len(),
                 programs: template.len(),
             });
         }
+        Ok(match Self::warm_up(machine, template, MAX_WARMUP_SEGMENTS) {
+            Warmup::Proven(model) => Some(model),
+            Warmup::Unproven(_) => None,
+        })
+    }
+
+    /// The one warmup loop behind every steady-state answer: runs at most
+    /// `limit` repetitions of `template` segment by segment, carrying the
+    /// machine state across boundaries, and stops at the first segment
+    /// whose state advance is a uniform delta that also keeps every later
+    /// segment's sends separated.
+    ///
+    /// The loop stops unproven at a segment error, at the first boundary
+    /// that is unclean or not send-separated from the previous segment
+    /// (the obligations of `periodic`'s module docs), or at `limit`. A
+    /// machine whose timing is not shift-invariant never enters it: a
+    /// contention-bearing link regime couples segments through queue
+    /// occupancy and per-message drop patterns (`DESIGN.md` §11), and a
+    /// fault plan is pinned to absolute cycles.
+    pub(crate) fn warm_up(machine: &Machine, template: &[Program], limit: usize) -> Warmup {
+        let n = machine.len();
+        let mut prefix = Vec::new();
         if machine.chips().iter().any(|c| !c.link_regime.contention_free())
             || !machine.faults().is_empty()
         {
-            return Ok(None);
+            return Warmup::Unproven(prefix);
         }
-        let n = machine.len();
         let mut carry = MachineState::zero(n);
-        let mut totals: Vec<ChipStats> = vec![ChipStats::default(); n];
-        let mut prefix: Vec<Prefix> = Vec::new();
-        let mut prev_send_issue: Option<Option<(u64, u64)>> = None;
-        for _seg in 1..=MAX_WARMUP_SEGMENTS {
-            let Ok(run) = machine.run_segment(template, &carry) else {
-                return Ok(None);
+        let mut totals = vec![ChipStats::default(); n];
+        // Latest send issue time of the previous segment (`None` before
+        // the first segment and after a segment that sent nothing).
+        let mut prev_send_max: Option<u64> = None;
+        for _ in 0..limit {
+            let Ok(run) = machine.run_segment(template, &carry) else { break };
+            let separated = match (prev_send_max, run.send_issue) {
+                (Some(prev_max), Some((next_min, _))) => prev_max < next_min,
+                _ => true,
             };
-            if !run.clean {
-                return Ok(None);
+            if !run.clean || !separated {
+                break;
             }
-            if let Some(prev) = prev_send_issue {
-                let separated = match (prev, run.send_issue) {
-                    (Some((_, prev_max)), Some((next_min, _))) => prev_max < next_min,
-                    _ => true,
-                };
-                if !separated {
-                    return Ok(None);
-                }
-            }
-            for (total, seg_stats) in totals.iter_mut().zip(&run.stats) {
-                total.accumulate(seg_stats);
+            for (total, seg) in totals.iter_mut().zip(&run.stats) {
+                total.accumulate(seg);
             }
             prefix.push(Prefix {
                 t: run.state.t.clone(),
@@ -153,10 +191,11 @@ impl SymbolicMakespan {
                 distinct_syncs: run.distinct_syncs,
             });
             if let Some(state_delta) = uniform_delta(&carry, &run.state) {
-                let separated_forever = match run.send_issue {
-                    Some((min, max)) => max < min.saturating_add(state_delta),
-                    None => true,
-                };
+                // Separation must keep holding at every extrapolated
+                // boundary: the next segment's sends are this segment's
+                // shifted by the delta.
+                let separated_forever =
+                    run.send_issue.is_none_or(|(min, max)| max < min.saturating_add(state_delta));
                 if separated_forever {
                     // The makespan slope is the clock advance, which is
                     // the uniform delta when any chip clock is active and
@@ -169,27 +208,25 @@ impl SymbolicMakespan {
                         .map(|(&now, &prev)| now - prev)
                         .max()
                         .unwrap_or(0);
-                    return Ok(Some(SymbolicMakespan {
+                    return Warmup::Proven(SymbolicMakespan {
                         n_chips: n,
+                        prefix,
                         last: run.stats,
-                        t_now: run.state.t.clone(),
                         t_prev: carry.t,
                         delta,
-                        distinct_syncs: run.distinct_syncs,
-                        prefix,
-                    }));
+                    });
                 }
             }
-            prev_send_issue = Some(run.send_issue);
+            prev_send_max = run.send_issue.map(|(_, max)| max);
             carry = run.state;
         }
-        Ok(None)
+        Warmup::Unproven(prefix)
     }
 
     /// Exact [`RunStats`] for `n_blocks` repetitions — bit-identical to
-    /// [`crate::Machine::run_periodic`] on the same pair, with zero
-    /// simulation: warmup-window depths read the stored prefix snapshot,
-    /// deeper ones apply one checked multiply-add per counter.
+    /// the full concatenated simulation, with zero simulation:
+    /// warmup-window depths read the stored prefix snapshot, deeper ones
+    /// apply one checked multiply-add per counter.
     ///
     /// # Panics
     ///
@@ -213,28 +250,62 @@ impl SymbolicMakespan {
         }
         let warm = self.prefix.len();
         if n_blocks <= warm {
-            let p = &self.prefix[n_blocks - 1];
-            let per_chip = p
-                .totals
-                .iter()
-                .zip(&p.t)
-                .map(|(total, &t)| {
-                    let mut chip = total.clone();
-                    chip.finish_cycles = t;
-                    chip
-                })
-                .collect();
-            return Ok(RunStats::new(per_chip, p.distinct_syncs * n_blocks));
+            return Ok(self.prefix[n_blocks - 1].stats(n_blocks));
         }
-        extrapolate(
-            &self.prefix[warm - 1].totals,
-            &self.last,
-            &self.t_now,
-            &self.t_prev,
-            self.distinct_syncs,
-            warm,
-            n_blocks,
-        )
+        // Per chip: the fixed-point totals plus `reps` more copies of the
+        // steady segment's additive counters, with the clock advanced by
+        // its per-block step each time. Peak queue occupancy is a
+        // maximum, not a sum: the steady segment repeats the same
+        // occupancy trajectory, so its peak carries over unscaled.
+        // Widened to u128 so every counter is exact; one test of the high
+        // halves at the end keeps the loop branch-free.
+        let fixed = &self.prefix[warm - 1];
+        let reps = u128::from((n_blocks - warm) as u64);
+        let mut high = 0u128;
+        let mut per_chip = Vec::with_capacity(self.n_chips);
+        for ((total, seg), (&now, &prev)) in
+            fixed.totals.iter().zip(&self.last).zip(fixed.t.iter().zip(&self.t_prev))
+        {
+            let mut grow = |base: u64, per: u64| {
+                let v = u128::from(base) + u128::from(per) * reps;
+                high |= v >> 64;
+                v as u64
+            };
+            per_chip.push(ChipStats {
+                compute_cycles: grow(total.compute_cycles, seg.compute_cycles),
+                dma_l3_l2_exposed_cycles: grow(
+                    total.dma_l3_l2_exposed_cycles,
+                    seg.dma_l3_l2_exposed_cycles,
+                ),
+                dma_l2_l1_exposed_cycles: grow(
+                    total.dma_l2_l1_exposed_cycles,
+                    seg.dma_l2_l1_exposed_cycles,
+                ),
+                c2c_exposed_cycles: grow(total.c2c_exposed_cycles, seg.c2c_exposed_cycles),
+                dma_l3_l2_bytes: grow(total.dma_l3_l2_bytes, seg.dma_l3_l2_bytes),
+                dma_l2_l1_bytes: grow(total.dma_l2_l1_bytes, seg.dma_l2_l1_bytes),
+                c2c_bytes_sent: grow(total.c2c_bytes_sent, seg.c2c_bytes_sent),
+                sync_marks: grow(total.sync_marks, seg.sync_marks),
+                // Inactive chips (step 0) stay parked at their clock;
+                // active chips advance by the step per block.
+                finish_cycles: grow(now, now - prev),
+                c2c_queue_cycles: grow(total.c2c_queue_cycles, seg.c2c_queue_cycles),
+                c2c_peak_queue_bytes: total.c2c_peak_queue_bytes.max(seg.c2c_peak_queue_bytes),
+                c2c_drops: grow(total.c2c_drops, seg.c2c_drops),
+                c2c_retransmits: grow(total.c2c_retransmits, seg.c2c_retransmits),
+                c2c_gave_up: grow(total.c2c_gave_up, seg.c2c_gave_up),
+                fault_stall_cycles: grow(total.fault_stall_cycles, seg.fault_stall_cycles),
+                fault_slow_cycles: grow(total.fault_slow_cycles, seg.fault_slow_cycles),
+                fault_link_cycles: grow(total.fault_link_cycles, seg.fault_link_cycles),
+                fault_transfers_affected: grow(
+                    total.fault_transfers_affected,
+                    seg.fault_transfers_affected,
+                ),
+                fault_downtime_cycles: grow(total.fault_downtime_cycles, seg.fault_downtime_cycles),
+            });
+        }
+        let syncs = fixed.distinct_syncs.checked_mul(n_blocks).filter(|_| high == 0);
+        Ok(RunStats::new(per_chip, syncs.ok_or(SimError::Overflow { n_blocks })?))
     }
 
     /// The closed-form makespan: `startup + (n - warm_blocks) * delta`
@@ -264,7 +335,7 @@ impl SymbolicMakespan {
     /// closed form): the latest chip clock at the fixed-point boundary.
     #[must_use]
     pub fn startup(&self) -> u64 {
-        self.t_now.iter().copied().max().unwrap_or(0)
+        self.makespan(self.prefix.len())
     }
 
     /// Per-block makespan slope in cycles (the `delta` term of the closed
@@ -285,6 +356,29 @@ impl SymbolicMakespan {
     #[must_use]
     pub fn n_chips(&self) -> usize {
         self.n_chips
+    }
+}
+
+/// The outcome of one [`SymbolicMakespan::derive`] as a single value: the
+/// proven model, or `None` when the proof did not go through.
+///
+/// `mtp-core`'s `CompiledSchedule::warmup` returns it and
+/// `CompiledSchedule::simulate_from` evaluates it; the `perfbench`
+/// harness is written against that pair.
+#[derive(Debug, Clone)]
+pub struct WarmupCheckpoint(pub Option<SymbolicMakespan>);
+
+impl WarmupCheckpoint {
+    /// `true` when the warmup proved a fixed point.
+    #[must_use]
+    pub fn converged(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Warmup segments the proof consumed (`None` when not converged).
+    #[must_use]
+    pub fn warmup_segments(&self) -> Option<usize> {
+        self.0.as_ref().map(SymbolicMakespan::warm_blocks)
     }
 }
 

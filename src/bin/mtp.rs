@@ -82,8 +82,10 @@ SWEEP:
     With no flags, `mtp sweep` runs the default paper grid: all three
     workloads in both modes x chips 1-64 x {hier4, flat} topologies
     (>= 48 valid scenarios; invalid chip counts are skipped with a
-    reason). Grid axes multiply, duplicates are answered from the
-    scenario cache, and unique points run on one worker thread per CPU.
+    reason; `sweep`, `serve` and `advise` exit 1 when every scenario
+    or group was skipped). Grid axes multiply, duplicates are answered
+    from the scenario cache, and unique points run on one worker thread
+    per CPU.
     --deep starts from the deep-model grid instead: 96- and 192-block
     full-model passes x chips 1-8 x {100%, 50%} link bandwidth, made
     cheap by periodic steady-state extrapolation and the shared
@@ -183,6 +185,13 @@ fn main() -> ExitCode {
 }
 
 type CliResult = Result<(), Box<dyn std::error::Error>>;
+
+/// The error of a run that evaluated nothing: every scenario or group
+/// was skipped (the skip list is already printed), so the command fails
+/// rather than report an empty success.
+fn all_skipped(skipped: usize, what: &str) -> Box<dyn std::error::Error> {
+    format!("all {skipped} {what} were skipped; nothing was evaluated").into()
+}
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
@@ -388,6 +397,9 @@ fn sweep_cmd(args: &[String]) -> CliResult {
         };
         // stderr, so `mtp sweep --stream > out.csv` stays pure CSV.
         eprintln!("{} ({} worker thread(s))", summary.summary(), engine.threads());
+        if summary.rows == 0 {
+            return Err(all_skipped(summary.skipped, "scenario(s)"));
+        }
         return Ok(());
     }
 
@@ -407,6 +419,9 @@ fn sweep_cmd(args: &[String]) -> CliResult {
         }
     }
     println!("\n{} ({} worker thread(s))", results.summary(), engine.threads());
+    if results.rows.is_empty() {
+        return Err(all_skipped(results.skipped.len(), "scenario(s)"));
+    }
 
     if has_flag(args, "--compare-serial") {
         // Cold engines on both sides so the cache cannot flatter either.
@@ -515,6 +530,9 @@ fn serve_cmd(args: &[String]) -> CliResult {
         }
     }
     println!("\n{}", results.summary());
+    if results.rows.is_empty() {
+        return Err(all_skipped(results.skipped.len(), "serving scenario(s)"));
+    }
     if let Some(path) = flag_value(args, "--csv") {
         std::fs::write(path, results.to_csv())?;
         println!("CSV written to {path}");
@@ -585,6 +603,9 @@ fn advise(args: &[String]) -> CliResult {
     }
     let advice = advisor::advise(&cfg, mode, constraints, &space)?;
     print!("{}", advisor::render(&advice, &constraints));
+    if advice.candidates.is_empty() {
+        return Err(all_skipped(advice.skipped.len(), "design group(s)"));
+    }
     if let Some(path) = flag_value(args, "--csv") {
         std::fs::write(path, advice.to_csv())?;
         println!("CSV written to {path}");

@@ -180,6 +180,53 @@ fn simulate_depth_overflow_exits_nonzero() {
     assert!(stdout(&out).contains("200608 cycles/block"), "{}", stdout(&out));
 }
 
+/// A run in which every scenario or design group is skipped evaluated
+/// nothing: it exits 1 with one `error:` line carrying the skip count,
+/// printed after the skip list (streamed sweeps print no skip list, only
+/// their summary line on stderr first).
+#[test]
+fn all_skipped_runs_exit_nonzero_with_the_skip_count() {
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["sweep", "--chips", "3"],
+            "error: all 10 scenario(s) were skipped; nothing was evaluated",
+        ),
+        (
+            &["sweep", "--chips", "3", "--stream"],
+            "error: all 10 scenario(s) were skipped; nothing was evaluated",
+        ),
+        (
+            &["serve", "--chips", "0"],
+            "error: all 4 serving scenario(s) were skipped; nothing was evaluated",
+        ),
+        (
+            &[
+                "advise",
+                "--model",
+                "tinyllama",
+                "--mode",
+                "ar",
+                "--chips",
+                "3",
+                "--latency-ms",
+                "5",
+            ],
+            "error: all 4 design group(s) were skipped; nothing was evaluated",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = mtp(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        let err = stderr(&out);
+        let errors: Vec<&str> = err.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors, [*message], "{args:?}: stderr `{err}`");
+        assert_eq!(err.lines().last(), Some(*message), "{args:?}: the error line comes last");
+        if !args.contains(&"--stream") {
+            assert!(stdout(&out).contains("skipped"), "{args:?}: skip list missing");
+        }
+    }
+}
+
 /// `mtp bench --check` without a baseline is rejected (after the quick
 /// run — the flag is validated where the comparison would happen).
 #[test]
