@@ -53,6 +53,26 @@ impl Constraints {
         self.max_latency_ms.is_none_or(|lim| report.runtime_ms() <= lim)
             && self.max_energy_mj.is_none_or(|lim| report.energy_mj() <= lim)
     }
+
+    /// Checks that every set limit is a positive finite number. No design
+    /// meets a zero or negative limit, every comparison against NaN is
+    /// false, and an infinite limit constrains nothing: each is a
+    /// mistyped question, not a search. Returns
+    /// [`CoreError::InvalidConfig`] naming the first bad limit.
+    fn validate(&self) -> Result<(), CoreError> {
+        let limits = [
+            ("latency", "milliseconds", self.max_latency_ms),
+            ("energy", "millijoules", self.max_energy_mj),
+        ];
+        for (name, unit, limit) in limits {
+            if let Some(lim) = limit.filter(|lim| !(lim.is_finite() && *lim > 0.0)) {
+                return Err(CoreError::InvalidConfig(format!(
+                    "{name} limit must be a positive finite number of {unit}, got {lim}"
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The search space of the advisor: a cross product of design axes.
@@ -219,7 +239,8 @@ pub fn pareto_flags(points: &[(u64, f64, usize)]) -> Vec<bool> {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidConfig`] for a zero bandwidth setting and
+/// Returns [`CoreError::InvalidConfig`] for a zero bandwidth setting or
+/// a latency/energy limit that is not a positive finite number, and
 /// propagates simulation errors; partition/topology errors for
 /// individual groups become [`Advice::skipped`] entries instead.
 pub fn advise(
@@ -228,6 +249,7 @@ pub fn advise(
     constraints: Constraints,
     space: &DesignSpace,
 ) -> Result<Advice, CoreError> {
+    constraints.validate()?;
     let mut chip_counts = space.chip_counts.clone();
     chip_counts.sort_unstable();
     chip_counts.dedup();
@@ -637,5 +659,20 @@ mod tests {
         let mut s = space(&cfg, 4);
         s.link_bw_pcts = vec![0, 100];
         assert!(advise(&cfg, InferenceMode::Autoregressive, unconstrained(), &s).is_err());
+    }
+
+    #[test]
+    fn impossible_limits_are_typed_errors() {
+        let cfg = TransformerConfig::tiny_llama_42m();
+        for lim in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            for constraints in [
+                Constraints { max_latency_ms: Some(lim), max_energy_mj: None },
+                Constraints { max_latency_ms: None, max_energy_mj: Some(lim) },
+            ] {
+                let err = advise(&cfg, InferenceMode::Autoregressive, constraints, &space(&cfg, 4))
+                    .unwrap_err();
+                assert!(err.to_string().contains("must be a positive finite number"), "{err}");
+            }
+        }
     }
 }

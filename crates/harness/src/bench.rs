@@ -19,6 +19,7 @@
 use crate::sweep::{SweepEngine, SweepGrid};
 use mtp_core::schedule::Scheduler;
 use mtp_kernels::{CalibratedCostModel, ClusterCostModel, Kernel};
+use mtp_link::Topology;
 use mtp_model::reference::{AttnMask, AttnScratch};
 use mtp_model::{reference, InferenceMode, TransformerConfig};
 use mtp_sim::{ChipSpec, LinkRegime, Machine, QueueDiscipline, SymbolicMakespan};
@@ -384,6 +385,41 @@ pub fn run(quick: bool) -> BenchReport {
         s_reps,
     );
 
+    // --- Overlapping block pipeline: the 8-chip prompt block on a flat
+    // reduction at 10% link bandwidth, where consecutive blocks' sends
+    // overlap in global time but never on one receiver port. Deriving
+    // the steady state and evaluating a 192-block pass vs. full
+    // simulation of the same pass.
+    let pr = InferenceMode::Prompt;
+    let pr_cfg = TransformerConfig::tiny_llama_42m().with_seq_len(16);
+    let mut slow_chip = chip;
+    slow_chip.link.bytes_per_cycle *= 0.1;
+    let flat = || {
+        Scheduler::new(&pr_cfg, 8, &slow_chip)
+            .expect("scheduler")
+            .with_topology(Topology::flat(8).expect("flat topology"))
+    };
+    let flat_programs = flat().model_programs(pr, 192).expect("programs");
+    let flat_template = flat().block_programs(pr);
+    let slow_machine = Machine::homogeneous(slow_chip, 8);
+    push(
+        "sim/8chip_pr_flat10_d192_full",
+        best_of(d_reps, || {
+            std::hint::black_box(slow_machine.run(&flat_programs).expect("run"));
+        }),
+        d_reps,
+    );
+    push(
+        "sim/8chip_pr_flat10_d192_symbolic",
+        best_of(s_reps, || {
+            let model = SymbolicMakespan::derive(&slow_machine, &flat_template)
+                .expect("derive")
+                .expect("flat prompt template must converge in warmup");
+            std::hint::black_box(model.try_eval(192).expect("try_eval"));
+        }),
+        s_reps,
+    );
+
     // --- Serving: the default `mtp serve` grid, cold engine (and cold
     // per-scenario pass caches) every iteration — the open-loop
     // continuous-batching frontend end to end.
@@ -529,8 +565,10 @@ impl Comparison {
     ///
     /// Returns a message naming the worst offender, or an error when no
     /// benchmark matched the baseline at all (a renamed suite or an
-    /// incompatible baseline must fail loudly, not gate vacuously).
+    /// incompatible baseline must fail loudly, not gate vacuously), or
+    /// when [`check_tolerance`] rejects `tolerance`.
     pub fn check(&self, tolerance: f64) -> Result<(), String> {
+        check_tolerance(tolerance)?;
         if self.rows.is_empty() {
             return Err("no benchmark matches the baseline; the perf gate cannot run (renamed \
                  benches or an incompatible baseline file?)"
@@ -553,6 +591,23 @@ impl Comparison {
             ));
         }
         Ok(())
+    }
+}
+
+/// Validates a [`Comparison::check`] tolerance: the largest allowed
+/// slowdown factor must be a positive finite number. Every comparison
+/// against NaN is false, so a NaN tolerance would pass any regression.
+///
+/// # Errors
+///
+/// Returns a message naming the rejected tolerance.
+pub fn check_tolerance(tolerance: f64) -> Result<f64, String> {
+    if tolerance.is_finite() && tolerance > 0.0 {
+        Ok(tolerance)
+    } else {
+        Err(format!(
+            "bad perf-gate tolerance `{tolerance}` (need a positive finite slowdown factor)"
+        ))
     }
 }
 
@@ -684,7 +739,7 @@ mod tests {
     fn quick_profile_runs_every_bench() {
         let report = run(true);
         assert_eq!(report.profile, "quick");
-        assert_eq!(report.results.len(), 24);
+        assert_eq!(report.results.len(), 26);
         for r in &report.results {
             assert!(r.min_ns > 0, "{} measured nothing", r.name);
         }
@@ -713,6 +768,14 @@ mod tests {
             "warm evaluation {} ns vs cold periodic {} ns",
             ns("sim/8chip_ar_d192_periodic_warm"),
             ns("sim/8chip_ar_d192_periodic_cold")
+        );
+        // The same holds where the steady state proves only per receiver
+        // port: deriving and evaluating beats simulating every block.
+        assert!(
+            ns("sim/8chip_pr_flat10_d192_symbolic") * 2 <= ns("sim/8chip_pr_flat10_d192_full"),
+            "derive + evaluation {} ns vs full simulation {} ns",
+            ns("sim/8chip_pr_flat10_d192_symbolic"),
+            ns("sim/8chip_pr_flat10_d192_full")
         );
         // The batched deep sweep shares templates and warmups with the
         // single-request deep sweep, so it must land within a small
@@ -768,6 +831,11 @@ mod tests {
         // rather than pass vacuously.
         let disjoint = report.compare(&[("kernel/renamed".to_owned(), 1)]);
         assert!(disjoint.check(10.0).unwrap_err().contains("no benchmark matches"));
+        // Every comparison against NaN is false: a NaN, infinite, zero or
+        // negative tolerance is an error, never a vacuous pass.
+        for tolerance in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            assert!(cmp.check(tolerance).unwrap_err().contains("perf-gate tolerance"));
+        }
     }
 
     #[test]

@@ -293,8 +293,8 @@ impl Machine {
         ex.fold_link_stats();
         ex.sync_ids.sort_unstable();
         ex.sync_ids.dedup();
-        let send_issue = (ex.send_issue_min <= ex.send_issue_max)
-            .then_some((ex.send_issue_min, ex.send_issue_max));
+        let send_issue =
+            ex.send_issue.iter().map(|&(min, max)| (min <= max).then_some((min, max))).collect();
         Ok(SegmentRun {
             state: MachineState {
                 t: ex.state.iter().map(|s| s.t).collect(),
@@ -460,11 +460,10 @@ struct Executor<'a, S: TraceSink> {
     /// for complete runs; false for periodic-engine segments, which
     /// instead require the boundary to be DMA-clean).
     drain_at_end: bool,
-    /// Smallest send issue time observed (chip-local clock at the moment
-    /// the send executed); `u64::MAX` when no send ran.
-    send_issue_min: u64,
-    /// Largest send issue time observed; 0 when no send ran.
-    send_issue_max: u64,
+    /// Per-receiver `(min, max)` send issue time (chip-local clock at the
+    /// moment the send executed); `(u64::MAX, 0)` for a receiver no send
+    /// targeted.
+    send_issue: Vec<(u64, u64)>,
     /// Per-chip fault schedules; `None` when the machine's plan is empty
     /// (the common case — one pointer-sized check per instruction).
     faults: Option<Vec<ChipFaults>>,
@@ -540,8 +539,7 @@ impl<'a, S: TraceSink> Executor<'a, S> {
             cost_class,
             cycle_memo: Box::new([None; CYCLE_MEMO_SLOTS]),
             drain_at_end: true,
-            send_issue_min: u64::MAX,
-            send_issue_max: 0,
+            send_issue: vec![(u64::MAX, 0); n],
             faults: expand_faults(&machine.faults, n),
             sink,
         }
@@ -791,8 +789,8 @@ impl<'a, S: TraceSink> Executor<'a, S> {
                             return Ok(());
                         }
                     }
-                    self.send_issue_min = self.send_issue_min.min(t);
-                    self.send_issue_max = self.send_issue_max.max(t);
+                    let window = &mut self.send_issue[to.0];
+                    *window = (window.0.min(t), window.1.max(t));
                     let start = t
                         .max(self.state[chip].tx_free)
                         .max(self.rx_free[to.0])

@@ -27,12 +27,18 @@
 //!
 //! 1. **Clean boundary** — every chip finished its segment program with
 //!    no async DMA in flight, and no chip is parked on a missing message.
-//! 2. **Send-order separation** — the latest send issue time of segment
-//!    `j` is strictly earlier than the earliest send issue time of
-//!    segment `j+1`. Cross-segment coupling flows only through RX/TX port
-//!    arbitration, which the executor resolves in global issue-time
-//!    order; separated segments therefore arbitrate identically whether
-//!    the blocks are simulated jointly or one segment at a time.
+//! 2. **Send-order separation, per receiver port** — for every receiver
+//!    `r`, the latest issue time of a send to `r` in segments `<= j` is
+//!    strictly earlier than the earliest send to `r` in segment `j+1`.
+//!    Cross-segment coupling flows only through port arbitration: a
+//!    chip's TX-port free is touched only by its own sends, in program
+//!    order, and the RX-port free of `r` — the one timing state several
+//!    chips share — is granted in `(issue time, chip)` order. Separated
+//!    ports therefore arbitrate identically whether the blocks are
+//!    simulated jointly or one segment at a time, even when sends to
+//!    different ports overlap across blocks. At the fixed point every
+//!    port's window must also stay narrower than the delta, so the
+//!    shifted next segment stays separated forever.
 //! 3. **Uniform delta** — every time-like component either advanced by
 //!    one common `delta`, or stayed put while already at or below the
 //!    segment-start minimum clock (an *inactive* component: it is never
@@ -94,9 +100,9 @@ pub(crate) struct SegmentRun {
     pub(crate) state: MachineState,
     /// Per-chip counters accumulated by this segment alone.
     pub(crate) stats: Vec<ChipStats>,
-    /// `(min, max)` send issue times, `None` when the segment sent
-    /// nothing.
-    pub(crate) send_issue: Option<(u64, u64)>,
+    /// Per receiver port: `(min, max)` issue times of the segment's sends
+    /// to it, `None` when the segment sent it nothing.
+    pub(crate) send_issue: Vec<Option<(u64, u64)>>,
     /// Distinct sync ids the segment observed.
     pub(crate) distinct_syncs: usize,
     /// `true` when every chip finished with no async DMA in flight.

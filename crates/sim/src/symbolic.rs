@@ -18,9 +18,9 @@
 //! `warm_blocks` is the number of warmup segments the proof consumed, and
 //! `delta` is the per-block clock advance. Block counts inside the warmup
 //! window read the stored prefix snapshot, which is exact because every
-//! prefix boundary satisfied the clean-boundary and send-order-separation
-//! obligations, so the concatenated simulation would have produced the
-//! identical state (`DESIGN.md` §9 and §15).
+//! prefix boundary satisfied the clean-boundary and per-port
+//! send-order-separation obligations, so the concatenated simulation
+//! would have produced the identical state (`DESIGN.md` §9 and §15).
 //!
 //! [`SymbolicPlane`] lifts the model over the link-bandwidth axis: the
 //! schedule template never changes with bandwidth, and under the affine
@@ -153,8 +153,16 @@ impl SymbolicMakespan {
     /// whose state advance is a uniform delta that also keeps every later
     /// segment's sends separated.
     ///
+    /// Send separation is checked per receiver port, both ways: each
+    /// segment's earliest send to a port must come strictly after the
+    /// latest send to that port in all earlier segments, and at the fixed
+    /// point each port's send window must be narrower than the delta (the
+    /// next segment's window is this one shifted by it). Sends to
+    /// different ports may overlap across segments; see `DESIGN.md` §9
+    /// for why port arbitration is the only coupling that matters.
+    ///
     /// The loop stops unproven at a segment error, at the first boundary
-    /// that is unclean or not send-separated from the previous segment
+    /// that is unclean or not send-separated from the earlier segments
     /// (the obligations of `periodic`'s module docs), or at `limit`. A
     /// machine whose timing is not shift-invariant never enters it: a
     /// contention-bearing link regime couples segments through queue
@@ -170,15 +178,15 @@ impl SymbolicMakespan {
         }
         let mut carry = MachineState::zero(n);
         let mut totals = vec![ChipStats::default(); n];
-        // Latest send issue time of the previous segment (`None` before
-        // the first segment and after a segment that sent nothing).
-        let mut prev_send_max: Option<u64> = None;
+        // Per receiver port: the latest send issue time over all segments
+        // so far (`None` while no segment has sent to it).
+        let mut latest_send: Vec<Option<u64>> = vec![None; n];
         for _ in 0..limit {
             let Ok(run) = machine.run_segment(template, &carry) else { break };
-            let separated = match (prev_send_max, run.send_issue) {
+            let separated = latest_send.iter().zip(&run.send_issue).all(|pair| match pair {
                 (Some(prev_max), Some((next_min, _))) => prev_max < next_min,
                 _ => true,
-            };
+            });
             if !run.clean || !separated {
                 break;
             }
@@ -192,10 +200,13 @@ impl SymbolicMakespan {
             });
             if let Some(state_delta) = uniform_delta(&carry, &run.state) {
                 // Separation must keep holding at every extrapolated
-                // boundary: the next segment's sends are this segment's
-                // shifted by the delta.
-                let separated_forever =
-                    run.send_issue.is_none_or(|(min, max)| max < min.saturating_add(state_delta));
+                // boundary on every port: the next segment's sends are
+                // this segment's shifted by the delta.
+                let separated_forever = run
+                    .send_issue
+                    .iter()
+                    .flatten()
+                    .all(|&(min, max)| max < min.saturating_add(state_delta));
                 if separated_forever {
                     // The makespan slope is the clock advance, which is
                     // the uniform delta when any chip clock is active and
@@ -217,7 +228,9 @@ impl SymbolicMakespan {
                     });
                 }
             }
-            prev_send_max = run.send_issue.map(|(_, max)| max);
+            for (latest, window) in latest_send.iter_mut().zip(&run.send_issue) {
+                *latest = (*latest).max(window.map(|(_, max)| max));
+            }
             carry = run.state;
         }
         Warmup::Unproven(prefix)

@@ -645,6 +645,15 @@ fn bench_cmd(args: &[String]) -> CliResult {
         print!("{}", bench::render_calibration(has_flag(args, "--quick")));
         return Ok(());
     }
+    // The perf gate's flags are validated before the seconds-long run.
+    let tolerance = match (has_flag(args, "--check"), flag_value(args, "--compare").is_some()) {
+        (false, _) => None,
+        (true, false) => return Err("--check requires --compare <BENCH_N.json>".into()),
+        (true, true) => {
+            let value = flag_value(args, "--check").ok_or("--check requires a tolerance value")?;
+            Some(bench::check_tolerance(value.parse()?)?)
+        }
+    };
     let report = bench::run(has_flag(args, "--quick"));
     print!("{}", report.render());
     if let Some(path) = flag_value(args, "--json") {
@@ -654,9 +663,7 @@ fn bench_cmd(args: &[String]) -> CliResult {
     if let Some(path) = flag_value(args, "--compare") {
         let baseline = bench::parse_baseline(&std::fs::read_to_string(path)?)?;
         let comparison = report.compare(&baseline);
-        if has_flag(args, "--check") {
-            let tolerance: f64 =
-                flag_value(args, "--check").ok_or("--check requires a tolerance value")?.parse()?;
+        if let Some(tolerance) = tolerance {
             print!("{}", comparison.render_checked(tolerance));
             comparison.check(tolerance)?;
             print!("{}", report.check_decode_twins(mtp_tensor::active_kind())?);
@@ -664,8 +671,6 @@ fn bench_cmd(args: &[String]) -> CliResult {
         } else {
             print!("{}", comparison.render());
         }
-    } else if has_flag(args, "--check") {
-        return Err("--check requires --compare <BENCH_N.json>".into());
     }
     Ok(())
 }

@@ -153,6 +153,45 @@ fn invalid_flags_exit_nonzero_with_exact_messages() {
             &["advise", "--link-bw", "10..20:0"],
             "bad link bandwidth `10..20:0` (want PCT or LO..HI[:STEP])",
         ),
+        // advise: limits no design can meet
+        (
+            &["advise", "--latency-ms", "nan"],
+            "latency limit must be a positive finite number of milliseconds, got NaN",
+        ),
+        (
+            &["advise", "--latency-ms", "-1"],
+            "latency limit must be a positive finite number of milliseconds, got -1",
+        ),
+        (
+            &["advise", "--latency-ms", "0"],
+            "latency limit must be a positive finite number of milliseconds, got 0",
+        ),
+        (
+            &["advise", "--energy-mj", "-5"],
+            "energy limit must be a positive finite number of millijoules, got -5",
+        ),
+        (
+            &["advise", "--energy-mj", "inf"],
+            "energy limit must be a positive finite number of millijoules, got inf",
+        ),
+        // bench: a perf-gate tolerance that would gate nothing, rejected
+        // before the run
+        (
+            &["bench", "--compare", "BENCH_8.json", "--check", "nan"],
+            "bad perf-gate tolerance `NaN` (need a positive finite slowdown factor)",
+        ),
+        (
+            &["bench", "--compare", "BENCH_8.json", "--check", "-1"],
+            "bad perf-gate tolerance `-1` (need a positive finite slowdown factor)",
+        ),
+        (
+            &["bench", "--compare", "BENCH_8.json", "--check", "0"],
+            "bad perf-gate tolerance `0` (need a positive finite slowdown factor)",
+        ),
+        (
+            &["bench", "--compare", "BENCH_8.json", "--check", "inf"],
+            "bad perf-gate tolerance `inf` (need a positive finite slowdown factor)",
+        ),
     ];
     for (args, fragment) in cases {
         let out = mtp(args);
@@ -227,8 +266,8 @@ fn all_skipped_runs_exit_nonzero_with_the_skip_count() {
     }
 }
 
-/// `mtp bench --check` without a baseline is rejected (after the quick
-/// run — the flag is validated where the comparison would happen).
+/// `mtp bench --check` without a baseline is rejected (before the run,
+/// with the other perf-gate flags).
 #[test]
 fn bench_check_without_compare_is_rejected() {
     let out = mtp(&["bench", "--quick", "--check"]);

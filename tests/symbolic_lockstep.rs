@@ -10,7 +10,11 @@
 //!    extra blocks);
 //! 3. randomized model configurations via proptest;
 //! 4. the closed form itself: `makespan(n) = startup + reps * delta`
-//!    must equal the evaluated stats' makespan at every depth.
+//!    must equal the evaluated stats' makespan at every depth;
+//! 5. block pipelines whose consecutive blocks overlap in global time
+//!    but never on one receiver port (flat-reduction design points and
+//!    seeded hub-and-spokes templates), which must prove a fixed point,
+//!    and templates that interleave blocks on one port, which must not.
 //!
 //! Scenarios whose fixed point is not provable (the symbolic model
 //! returns `None`) are skipped here — the periodic lockstep suite
@@ -18,9 +22,12 @@
 //! a fixed point for most of its scenarios, which the tests assert.
 
 use mtp::core::schedule::Scheduler;
-use mtp::harness::sweep::SweepGrid;
+use mtp::harness::sweep::{ModelPreset, Scenario, SweepGrid, TopologySpec};
+use mtp::kernels::Kernel;
 use mtp::model::{InferenceMode, TransformerConfig};
-use mtp::sim::{ChipSpec, Instr, Machine, MsgId, Program, SymbolicMakespan, SymbolicPlane};
+use mtp::sim::{
+    ChipSpec, Instr, Machine, MsgId, Program, SymbolicMakespan, SymbolicPlane, TraceKind,
+};
 use proptest::prelude::*;
 
 /// Concatenates a template `n_blocks` times with fresh ids per block —
@@ -218,5 +225,181 @@ proptest! {
         prop_assert_eq!(&sym, &fast);
         prop_assert_eq!(&sym, &full);
         prop_assert_eq!(model.makespan(n_blocks), sym.makespan);
+    }
+}
+
+/// `true` when, in the joint two-block run, some send of the second
+/// block is issued no later than some send of the first: the blocks
+/// overlap in global time, which only per-receiver separation can prove.
+fn blocks_overlap_globally(machine: &Machine, template: &[Program]) -> bool {
+    let (_, trace) = machine.run_traced(&concat_shifted(template, 2)).unwrap();
+    let per_block: Vec<usize> = template
+        .iter()
+        .map(|p| p.instrs().iter().filter(|i| matches!(i, Instr::Send { .. })).count())
+        .collect();
+    let mut seen = vec![0usize; template.len()];
+    let (mut first_max, mut second_min) = (0, u64::MAX);
+    for event in trace.events() {
+        if let TraceKind::Send { .. } = event.kind {
+            if seen[event.chip] < per_block[event.chip] {
+                first_max = first_max.max(event.start);
+            } else {
+                second_min = second_min.min(event.start);
+            }
+            seen[event.chip] += 1;
+        }
+    }
+    second_min <= first_max
+}
+
+#[test]
+fn overlapping_block_pipelines_prove_and_match_full_simulation() {
+    // Design points whose consecutive blocks overlap in global time but
+    // never on one receiver port: each must prove a fixed point and
+    // answer every depth exactly.
+    let (ar, pr) = (InferenceMode::Autoregressive, InferenceMode::Prompt);
+    let mut points = vec![(ModelPreset::TinyLlama, pr, 8, 10)];
+    for chips in [16, 32, 64] {
+        for mode in [ar, pr] {
+            for pct in [10, 50, 100] {
+                points.push((ModelPreset::TinyLlamaScaled64h, mode, chips, pct));
+            }
+        }
+    }
+    let n_points = points.len();
+    let mut overlapping = 0usize;
+    for (preset, mode, chips, pct) in points {
+        let scenario = Scenario::new(preset.config(mode), mode, chips)
+            .with_topology(TopologySpec::Flat)
+            .with_link_bw_pct(pct)
+            .unwrap();
+        let context = format!("{} {mode} x{chips} flat {pct}%", scenario.config.name);
+        let compiled = scenario.compile_schedule().unwrap();
+        let template = compiled.template();
+        let machine = Machine::homogeneous(scenario.chip(), chips);
+        let model = SymbolicMakespan::derive(&machine, template)
+            .unwrap()
+            .unwrap_or_else(|| panic!("no fixed point: {context}"));
+        let overlaps = blocks_overlap_globally(&machine, template);
+        overlapping += usize::from(overlaps);
+        let mut depths = vec![5, 8, 25, 32, 128];
+        if chips == 8 {
+            assert!(overlaps, "blocks do not overlap globally: {context}");
+            depths.push(512);
+        }
+        for n in depths {
+            let full = machine.run(&concat_shifted(template, n)).unwrap();
+            assert_eq!(model.eval(n), full, "symbolic != full: {context} n_blocks={n}");
+            assert_eq!(model.makespan(n), full.makespan, "closed form: {context} n_blocks={n}");
+            assert_eq!(
+                machine.run_periodic(template, n).unwrap(),
+                full,
+                "periodic != full: {context} n_blocks={n}"
+            );
+        }
+    }
+    // Most points overlap globally; the rest keep the suite honest on
+    // pipelines that were already separated.
+    assert!(4 * overlapping >= 3 * n_points, "only {overlapping} of {n_points} points overlap");
+}
+
+/// A hub-and-spokes template: every spoke computes a skewed amount, sends
+/// its partial to the hub (chip 0), and waits for the hub's reply; the
+/// hub gathers in a random order, reduces, and replies to every spoke.
+/// Fast spokes start their next block while the hub still replies to slow
+/// ones, so consecutive blocks overlap in global time, yet every
+/// receiver port sees one block's sends strictly before the next's.
+fn converging_template(n_chips: usize, seed: u64) -> Vec<Program> {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let reply = |c: usize| (n_chips + c) as u64;
+    let mut spokes: Vec<usize> = (1..n_chips).collect();
+    let mut programs = vec![Program::new(); n_chips];
+    for &c in &spokes {
+        let p = &mut programs[c];
+        // Skewed compute: spoke c works about c^2 times as long as spoke 1.
+        let n = (next() % 64 + 32) as usize;
+        p.push(Instr::compute(Kernel::gemv(n * c * c, 64)));
+        p.push(Instr::send(0, c as u64, next() % 8_000 + 512));
+        p.push(Instr::recv(0, reply(c)));
+    }
+    for i in (1..spokes.len()).rev() {
+        spokes.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    let hub = &mut programs[0];
+    for &c in &spokes {
+        hub.push(Instr::recv(c, c as u64));
+    }
+    hub.push(Instr::compute(Kernel::Add { n: (next() % 4096 + 64) as usize }));
+    for c in 1..n_chips {
+        hub.push(Instr::send(c, reply(c), next() % 8_000 + 512));
+    }
+    programs
+}
+
+#[test]
+fn converging_senders_with_skewed_compute_prove_per_receiver() {
+    let mut chip = ChipSpec::siracusa();
+    chip.link.bytes_per_cycle *= 0.1;
+    let mut overlapping = 0usize;
+    let seeds = 0u64..24;
+    let n_seeds = seeds.end as usize;
+    for seed in seeds {
+        let n_chips = 3 + (seed % 4) as usize;
+        let template = converging_template(n_chips, seed);
+        let machine = Machine::homogeneous(chip, n_chips);
+        let context = format!("seed {seed} x{n_chips}");
+        let model = SymbolicMakespan::derive(&machine, &template)
+            .unwrap()
+            .unwrap_or_else(|| panic!("no fixed point: {context}"));
+        overlapping += usize::from(blocks_overlap_globally(&machine, &template));
+        for n in [1, 2, 3, 5, 8, 25, 32, 128] {
+            let full = machine.run(&concat_shifted(&template, n)).unwrap();
+            assert_eq!(model.eval(n), full, "symbolic != full: {context} n_blocks={n}");
+            assert_eq!(machine.run_periodic(&template, n).unwrap(), full, "{context} n={n}");
+        }
+    }
+    assert!(4 * overlapping >= 3 * n_seeds, "only {overlapping} of {n_seeds} seeds overlap");
+}
+
+#[test]
+fn interleaved_sends_on_one_receiver_port_stay_unproven() {
+    // Spokes with unequal compute feed one port of chip 0, and nothing
+    // holds the fast spokes back: a fast spoke issues its next block's
+    // send before a slow spoke's send of the current block, so blocks
+    // interleave on port 0 and block-by-block simulation would arbitrate
+    // that port in the wrong order. With two spokes the interleaving
+    // shows between the first two segments; with three, the warmup
+    // reaches a uniform delta first, and only the steady-state window
+    // (wider than one delta on port 0) betrays it.
+    // Spoke `c` computes `spokes[c - 1]` GEMV rows and sends message `c`
+    // to the hub, which gathers the slowest spoke first.
+    let gather = |spokes: &[usize], bytes: u64| {
+        let hub = (1..=spokes.len()).rev().map(|c| Instr::recv(c, c as u64));
+        let mut programs = vec![Program::from_instrs(hub)];
+        for (c, &rows) in (1..).zip(spokes) {
+            programs.push(Program::from_instrs([
+                Instr::compute(Kernel::gemv(rows, 64)),
+                Instr::send(0, c as u64, bytes),
+            ]));
+        }
+        programs
+    };
+    for (spokes, bytes) in [(vec![1, 1024], 4_096), (vec![104, 809, 1290], 16_384)] {
+        let template = gather(&spokes, bytes);
+        let machine = Machine::homogeneous(ChipSpec::siracusa(), template.len());
+        assert!(
+            SymbolicMakespan::derive(&machine, &template).unwrap().is_none(),
+            "proved interleaved spokes {spokes:?}"
+        );
+        for n in [2, 3, 5, 8, 25, 32, 128] {
+            let full = machine.run(&concat_shifted(&template, n)).unwrap();
+            assert_eq!(machine.run_periodic(&template, n).unwrap(), full, "n_blocks={n}");
+        }
     }
 }
